@@ -6,7 +6,6 @@ CLI (``elga eval`` / ``elga figure``) is provided by :mod:`elga.cli`.
 """
 
 from .algebra import (
-    EPSILON,
     AlgebraError,
     Multivector,
     NonInvertible,
@@ -35,7 +34,6 @@ from .algebra import (
 )
 
 __all__ = [
-    "EPSILON",
     "AlgebraError",
     "Multivector",
     "NonInvertible",

@@ -34,20 +34,20 @@ import numpy as np
 # Library-wide tolerance for simplicity / invertibility / degeneracy
 # predicates.  Test comparisons are tighter (1e-12, or 1e-10 for derived
 # quantities); this value only gates structural decisions.
-EPSILON = 1e-9
+_EPSILON = 1e-9
 
 
 def epsilon() -> float:
     """Current structural tolerance (read dynamically, see set_epsilon)."""
-    return EPSILON
+    return _EPSILON
 
 
 def set_epsilon(value: float) -> None:
     """Override the structural tolerance process-wide (CLI --tolerance)."""
-    global EPSILON
+    global _EPSILON
     if not value > 0:
         raise ValueError("tolerance must be positive")
-    EPSILON = float(value)
+    _EPSILON = float(value)
 
 
 class AlgebraError(Exception):
@@ -490,7 +490,7 @@ def plucker_residual(a: MultivectorLike) -> float:
 def is_simple_bivector(a: MultivectorLike, eps: float = None) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
     a = as_multivector(a)
-    eps = EPSILON if eps is None else eps
+    eps = epsilon() if eps is None else eps
     n2 = float(a.coeffs @ a.coeffs)
     return abs(plucker_residual(a)) <= eps * max(n2, 1e-300)
 
@@ -500,7 +500,7 @@ def is_clifford_bivector(a: MultivectorLike, eps: float = None) -> bool:
     a = as_multivector(a)
     if a.space is not Space.EL3:
         return False
-    eps = EPSILON if eps is None else eps
+    eps = epsilon() if eps is None else eps
     s = inner(a, a).scalar_part
     v = regressive(a, a).scalar_part
     return abs(s * s - v * v) <= eps * max(s * s, 1e-300)
@@ -531,7 +531,7 @@ def normalized(a: MultivectorLike, eps: float = None) -> Multivector:
     """a / norm(a); raises ZeroInput below tolerance."""
     a = as_multivector(a)
     n = norm(a, eps)
-    if n <= (EPSILON if eps is None else eps):
+    if n <= (epsilon() if eps is None else eps):
         raise ZeroInput("cannot normalise a (near-)zero element")
     return a * (1.0 / n)
 
@@ -543,7 +543,7 @@ def inverse_blade(a: MultivectorLike, eps: float = None) -> Multivector:
     1 + I in El3, a zero divisor).
     """
     a = as_multivector(a)
-    eps = EPSILON if eps is None else eps
+    eps = epsilon() if eps is None else eps
     rev = reverse(a)
     m = geometric_product(a, rev)
     s = m.scalar_part
@@ -562,7 +562,7 @@ def canonicalize_sign(a: MultivectorLike, eps: float = None) -> Multivector:
     silently, since orientation is meaningful.
     """
     a = as_multivector(a)
-    eps = EPSILON if eps is None else eps
+    eps = epsilon() if eps is None else eps
     scale = float(np.max(np.abs(a.coeffs)))
     if scale == 0.0:
         return a
@@ -637,7 +637,7 @@ def axis_split(b: Multivector, eps: float = None):
     unique, the canonical split into an origin line and its polar line is
     returned with degenerate = True.
     """
-    eps = EPSILON if eps is None else eps
+    eps = epsilon() if eps is None else eps
     s = inner(b, b).scalar_part              # -|coeffs|^2, <= 0
     v = regressive(b, b).scalar_part
     if s == 0.0:

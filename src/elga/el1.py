@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import geometry
 from .algebra import (
     epsilon,
     Multivector,
@@ -20,9 +21,7 @@ from .algebra import (
     exp_bivector,
     geometric_product,
     inner,
-    inverse_blade,
     normalized,
-    outer,
     regressive,
 )
 
@@ -36,10 +35,7 @@ class PointEl1:
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.space is not Space.EL1:
-            raise ValueError("PointEl1 requires an el1 element")
-        if self.mv.pure_grade() != 1:
-            raise ValueError("PointEl1 requires a grade-1 element")
+        geometry.check_blade(self.mv, Space.EL1, "point", "PointEl1")
 
     @classmethod
     def from_coeffs(cls, d: float, a: float) -> "PointEl1":
@@ -95,21 +91,13 @@ def translate(a: MultivectorLike, lam: float) -> PointEl1:
 
 def reflect(a: MultivectorLike, b: MultivectorLike) -> PointEl1:
     """Top-down reflection of a in b: -b a b**-1 (alpha -> 2*beta - alpha)."""
-    a, b = as_multivector(a), as_multivector(b)
-    binv = inverse_blade(b)
-    return PointEl1(-geometric_product(geometric_product(b, a), binv))
+    return PointEl1(geometry.reflect(a, b))
 
 
-def project(a: MultivectorLike, b: MultivectorLike) -> Multivector:
-    """(a.b) b**-1; equals b*cos(alpha-beta) for normalised points."""
-    a, b = as_multivector(a), as_multivector(b)
-    return geometric_product(inner(a, b), inverse_blade(b))
-
-
-def reject(a: MultivectorLike, b: MultivectorLike) -> Multivector:
-    """(a^b) b**-1; lands on the polar point of b, weighted sin(alpha-beta)."""
-    a, b = as_multivector(a), as_multivector(b)
-    return geometric_product(outer(a, b), inverse_blade(b))
+# (a.b) b**-1 equals b*cos(alpha-beta) for normalised points; (a^b) b**-1
+# lands on the polar point of b, weighted sin(alpha-beta).
+project = geometry.project
+reject = geometry.reject
 
 
 def join_weight(a: MultivectorLike, b: MultivectorLike) -> float:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from . import geometry
 from .algebra import (
     epsilon,
     AlgebraError,
@@ -27,9 +28,7 @@ from .algebra import (
     exp_bivector,
     geometric_product,
     inner,
-    inverse_blade,
     normalized,
-    outer,
     regressive,
 )
 
@@ -45,12 +44,7 @@ class LineEl2:
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.space is not Space.EL2:
-            raise ValueError("LineEl2 requires an el2 element")
-        if self.mv.pure_grade() != 1:
-            raise ValueError("LineEl2 requires a grade-1 element")
-        if coeff_norm(self.mv) <= epsilon():
-            raise ValueError("LineEl2 requires a nonzero element")
+        geometry.check_blade(self.mv, Space.EL2, "line", "LineEl2", nonzero=True)
 
     @classmethod
     def from_coeffs(cls, d: float, a: float, b: float) -> "LineEl2":
@@ -64,12 +58,7 @@ class PointEl2:
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.space is not Space.EL2:
-            raise ValueError("PointEl2 requires an el2 element")
-        if self.mv.pure_grade() != 2:
-            raise ValueError("PointEl2 requires a grade-2 element")
-        if coeff_norm(self.mv) <= epsilon():
-            raise ValueError("PointEl2 requires a nonzero element")
+        geometry.check_blade(self.mv, Space.EL2, "point", "PointEl2", nonzero=True)
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "PointEl2":
@@ -96,26 +85,9 @@ class PointEl2:
         return self.x / w, self.y / w
 
 
-def distance_pp(p: MultivectorLike, q: MultivectorLike) -> float:
-    """Point-point distance in [0, pi/2]: sin r = |PvQ|, cos r = |P.Q|."""
-    pn = normalized(as_multivector(p))
-    qn = normalized(as_multivector(q))
-    return math.atan2(coeff_norm(regressive(pn, qn)), abs(inner(pn, qn).scalar_part))
-
-
-def angle_ll(a: MultivectorLike, b: MultivectorLike) -> float:
-    """Angle in [0, pi] between the orientation vectors: cos alpha = a.b."""
-    an = normalized(as_multivector(a))
-    bn = normalized(as_multivector(b))
-    c = inner(an, bn).scalar_part
-    return math.acos(max(-1.0, min(1.0, c)))
-
-
-def distance_lp(a: MultivectorLike, p: MultivectorLike) -> float:
-    """Line-point distance in [0, pi/2]: sin r = |avP|, cos r = |a.P|."""
-    an = normalized(as_multivector(a))
-    pn = normalized(as_multivector(p))
-    return math.atan2(abs(regressive(an, pn).scalar_part), coeff_norm(inner(an, pn)))
+# point-point (P, Q) and line-point (a, P) distances, angle between lines
+distance_pp = distance_lp = geometry.distance
+angle_ll = geometry.angle
 
 
 def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector:
@@ -225,34 +197,18 @@ def right_triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLi
     return math.asin(min(s, 1.0))
 
 
-def project(b: MultivectorLike, a: MultivectorLike) -> Multivector:
-    """(B.A) A**-1."""
-    b, a = as_multivector(b), as_multivector(a)
-    return geometric_product(inner(b, a), inverse_blade(a))
-
-
-def reject(b: MultivectorLike, a: MultivectorLike) -> Multivector:
-    """(B^A) A**-1; a rejected point lands at the polar point of the line."""
-    b, a = as_multivector(b), as_multivector(a)
-    return geometric_product(outer(b, a), inverse_blade(a))
-
-
-def _graded_reflection(b: Multivector, a: Multivector, topdown: bool) -> Multivector:
-    k = a.pure_grade()
-    elle = b.pure_grade()
-    exponent = k * elle if topdown else k * (elle - 1)
-    sign = -1.0 if exponent % 2 else 1.0
-    return geometric_product(geometric_product(a, b), inverse_blade(a)) * sign
+project = geometry.project
+reject = geometry.reject
 
 
 def reflect_topdown(b: MultivectorLike, a: MultivectorLike) -> Multivector:
     """(-1)**(kl) A B A**-1 for grades k = grade(A), l = grade(B)."""
-    return _graded_reflection(as_multivector(b), as_multivector(a), True)
+    return geometry.reflect(b, a, True)
 
 
 def reflect_bottomup(b: MultivectorLike, a: MultivectorLike) -> Multivector:
     """(-1)**(k(l-1)) A B A**-1."""
-    return _graded_reflection(as_multivector(b), as_multivector(a), False)
+    return geometry.reflect(b, a, False)
 
 
 def rotation_spinor(r: MultivectorLike, alpha: float):

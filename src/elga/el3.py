@@ -13,16 +13,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Literal, Tuple, Union
 
 import numpy as np
 
+from . import geometry
 from .algebra import (
     epsilon,
     AlgebraError,
     Multivector,
     MultivectorLike,
-    NonSimpleBivector,
     Space,
     Spinor,
     as_multivector,
@@ -34,10 +34,8 @@ from .algebra import (
     geometric_product,
     inner,
     inverse_blade,
-    is_simple_bivector,
     normalized,
     outer,
-    plucker_residual,
     regressive,
 )
 
@@ -84,10 +82,7 @@ class PlaneEl3:
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.space is not _S or self.mv.pure_grade() != 1:
-            raise ValueError("PlaneEl3 requires a grade-1 el3 element")
-        if coeff_norm(self.mv) <= epsilon():
-            raise ValueError("PlaneEl3 requires a nonzero element")
+        geometry.check_blade(self.mv, _S, "plane", "PlaneEl3", nonzero=True)
 
     @classmethod
     def from_coeffs(cls, d: float, a: float, b: float, c: float) -> "PlaneEl3":
@@ -101,14 +96,7 @@ class LineEl3:
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.space is not _S or self.mv.pure_grade() != 2:
-            raise ValueError("LineEl3 requires a grade-2 el3 element")
-        if coeff_norm(self.mv) <= epsilon():
-            raise ValueError("LineEl3 requires a nonzero element")
-        if not is_simple_bivector(self.mv):
-            raise NonSimpleBivector(
-                f"plucker residual {plucker_residual(self.mv):.3e} exceeds tolerance"
-            )
+        geometry.check_blade(self.mv, _S, "line", "LineEl3", nonzero=True)
 
     @classmethod
     def from_plucker(cls, p10, p20, p30, p23, p31, p12) -> "LineEl3":
@@ -120,12 +108,12 @@ class LineEl3:
     @classmethod
     def from_points(cls, p: MultivectorLike, q: MultivectorLike) -> "LineEl3":
         """Join of two points."""
-        return cls(regressive(as_multivector(p), as_multivector(q)))
+        return cls(line_from_points(p, q))
 
     @classmethod
     def from_planes(cls, a: MultivectorLike, b: MultivectorLike) -> "LineEl3":
         """Meet of two planes."""
-        return cls(outer(as_multivector(a), as_multivector(b)))
+        return cls(line_from_planes(a, b))
 
     def plucker(self) -> Tuple[float, ...]:
         return tuple(self.mv.coeff(n) for n in ("e10", "e20", "e30", "e23", "e31", "e12"))
@@ -136,10 +124,7 @@ class PointEl3:
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.space is not _S or self.mv.pure_grade() != 3:
-            raise ValueError("PointEl3 requires a grade-3 el3 element")
-        if coeff_norm(self.mv) <= epsilon():
-            raise ValueError("PointEl3 requires a nonzero element")
+        geometry.check_blade(self.mv, _S, "point", "PointEl3", nonzero=True)
 
     @classmethod
     def from_xyz(cls, x: float, y: float, z: float) -> "PointEl3":
@@ -166,32 +151,15 @@ class PointEl3:
 
 
 def _require_line(x: MultivectorLike, what: str = "line") -> Multivector:
-    mv = as_multivector(x)
-    if mv.space is not _S or mv.pure_grade() != 2:
-        raise ValueError(f"{what} must be a grade-2 el3 element")
-    if not is_simple_bivector(mv):
-        raise NonSimpleBivector(
-            f"{what}: plucker residual {plucker_residual(mv):.3e} exceeds tolerance"
-        )
-    return mv
+    return geometry.check_blade(x, _S, "line", what)
 
 
 # ---------------------------------------------------------------------------
 # metric toolkit
 
-
-def distance_pp(p: MultivectorLike, q: MultivectorLike) -> float:
-    """Point-point distance in [0, pi/2]: sin r = |PvQ|, cos r = |P.Q|."""
-    pn = normalized(as_multivector(p))
-    qn = normalized(as_multivector(q))
-    return math.atan2(coeff_norm(regressive(pn, qn)), abs(inner(pn, qn).scalar_part))
-
-
-def distance_plane_point(a: MultivectorLike, p: MultivectorLike) -> float:
-    """Plane-point distance: sin r = |avP|, cos r = |a.P|."""
-    an = normalized(as_multivector(a))
-    pn = normalized(as_multivector(p))
-    return math.atan2(abs(regressive(an, pn).scalar_part), coeff_norm(inner(an, pn)))
+# point-point (P, Q) and plane-point (a, P) distances, angle between planes
+distance_pp = distance_plane_point = geometry.distance
+angle_planes = geometry.angle
 
 
 def distance_line_point(line: MultivectorLike, p: MultivectorLike) -> float:
@@ -201,17 +169,7 @@ def distance_line_point(line: MultivectorLike, p: MultivectorLike) -> float:
     the line); L.P is the perpendicular plane through P (zero when P lies
     on the polar line LI).
     """
-    ln = normalized(_require_line(line))
-    pn = normalized(as_multivector(p))
-    return math.atan2(coeff_norm(regressive(ln, pn)), coeff_norm(inner(ln, pn)))
-
-
-def angle_planes(a: MultivectorLike, b: MultivectorLike) -> float:
-    """Angle in [0, pi] between oriented planes: cos alpha = a.b."""
-    an = normalized(as_multivector(a))
-    bn = normalized(as_multivector(b))
-    c = inner(an, bn).scalar_part
-    return math.acos(max(-1.0, min(1.0, c)))
+    return geometry.distance(_require_line(line), p)
 
 
 def angle_line_plane(line: MultivectorLike, a: MultivectorLike) -> float:
@@ -244,8 +202,7 @@ def axis_decompose(b: MultivectorLike, eps: float = None) -> AxisDecomposition:
     mv = as_multivector(b)
     if coeff_norm(mv) <= (epsilon() if eps is None else eps):
         raise ValueError("axis_decompose requires a nonzero bivector")
-    if mv.space is not _S or mv.pure_grade() != 2:
-        raise ValueError("axis_decompose requires a grade-2 el3 element")
+    mv = geometry.check_blade(mv, _S, "bivector", "axis_decompose")
     b1, b2, degenerate = axis_split(mv, eps)
     return AxisDecomposition(b1, b2, degenerate)
 
@@ -367,13 +324,16 @@ def clifford_bivector(line: MultivectorLike, sign: Union[Family, str]) -> Cliffo
     return CliffordBivector(value, sign)
 
 
-def _as_clifford(xi) -> CliffordBivector:
+CliffordLike = Union[CliffordBivector, MultivectorLike]
+
+
+def _as_clifford(xi: CliffordLike) -> CliffordBivector:
     if isinstance(xi, CliffordBivector):
         return xi
     return CliffordBivector.from_bivector(xi)
 
 
-def parallel_through_point(xi, p: MultivectorLike) -> Multivector:
+def parallel_through_point(xi: CliffordLike, p: MultivectorLike) -> Multivector:
     """The parallel of the Clifford bivector through P: (Xi v P) P**-1.
 
     For P on one of the generating lines the construction collapses onto
@@ -453,54 +413,27 @@ def line_line_metrics(
 # projections, rejections, reflections
 
 
-def project_on_plane(b: MultivectorLike, a: MultivectorLike) -> Multivector:
-    """(B.a) a**-1; lies on the plane a."""
-    b, a = as_multivector(b), as_multivector(a)
-    return geometric_product(inner(b, a), inverse_blade(a))
-
-
-def reject_by_plane(b: MultivectorLike, a: MultivectorLike) -> Multivector:
-    """(B^a) a**-1; passes through the polar point aI."""
-    b, a = as_multivector(b), as_multivector(a)
-    return geometric_product(outer(b, a), inverse_blade(a))
-
-
-def project_on_point(b: MultivectorLike, p: MultivectorLike) -> Multivector:
-    """(B.P) P**-1; passes through the point P."""
-    b, p = as_multivector(b), as_multivector(p)
-    return geometric_product(inner(b, p), inverse_blade(p))
-
-
-def reject_by_point(b: MultivectorLike, p: MultivectorLike) -> Multivector:
-    """(B^P) P**-1 for planes, (B x P) P**-1 for lines and points.
-
-    The graded pieces follow the decomposition of the geometric product;
-    rejections land on the polar plane PI.
-    """
-    b, p = as_multivector(b), as_multivector(p)
-    g = b.pure_grade()
-    top = outer(b, p) if g == 1 else commutator(b, p)
-    return geometric_product(top, inverse_blade(p))
+# (B.a) a**-1 lies on the plane a and (B^a) a**-1 passes through its polar
+# point aI; (B.P) P**-1 passes through P, and (B^P) P**-1 for planes,
+# (B x P) P**-1 for lines and points land on the polar plane PI.
+project_on_plane = project_on_point = geometry.project
+reject_by_plane = reject_by_point = geometry.reject
 
 
 def project_on_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
     """(B.L) L**-1 for points and planes; lines use project_line_on_line."""
-    b = as_multivector(b)
     ln = _require_line(line)
-    if b.pure_grade() == 2:
+    if as_multivector(b).pure_grade() == 2:
         raise ValueError("use project_line_on_line for a line argument")
-    return geometric_product(inner(b, ln), inverse_blade(ln))
+    return geometry.project(b, ln)
 
 
 def reject_by_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
     """(a^L) L**-1 for planes, (P x L) L**-1 for points."""
-    b = as_multivector(b)
     ln = _require_line(line)
-    g = b.pure_grade()
-    if g == 2:
+    if as_multivector(b).pure_grade() == 2:
         raise ValueError("use reject_line_by_line for a line argument")
-    top = outer(b, ln) if g == 1 else commutator(b, ln)
-    return geometric_product(top, inverse_blade(ln))
+    return geometry.reject(b, ln)
 
 
 def _line_line_pieces(phi: Multivector, line: Multivector, eps):
@@ -517,7 +450,7 @@ def _line_line_pieces(phi: Multivector, line: Multivector, eps):
 
 
 def project_line_on_line(
-    phi: MultivectorLike, line: MultivectorLike, kind: int, eps: float = None
+    phi: MultivectorLike, line: MultivectorLike, kind: Literal[1, 2], eps: float = None
 ) -> Multivector:
     """proj_k(Phi; L): (Phi.L + (Phi x L)_k) L**-1 with k in {1, 2}.
 
@@ -535,7 +468,7 @@ def project_line_on_line(
 
 
 def reject_line_by_line(
-    phi: MultivectorLike, line: MultivectorLike, kind: int, eps: float = None
+    phi: MultivectorLike, line: MultivectorLike, kind: Literal[1, 2], eps: float = None
 ) -> Multivector:
     """rej_k(Phi; L): ((Phi x L)_j + Phi^L) L**-1 with the opposite axis j.
 
@@ -568,12 +501,7 @@ def reflect(
     Top-down is (-1)**(kl) A B A**-1, bottom-up (-1)**(k(l-1)) A B A**-1;
     the two coincide for reflections in lines (k = 2).
     """
-    direction = Direction(direction)
-    b, a = as_multivector(b), as_multivector(a)
-    k, elle = a.pure_grade(), b.pure_grade()
-    exponent = k * elle if direction is Direction.TOP_DOWN else k * (elle - 1)
-    sign = -1.0 if exponent % 2 else 1.0
-    return geometric_product(geometric_product(a, b), inverse_blade(a)) * sign
+    return geometry.reflect(b, a, Direction(direction) is Direction.TOP_DOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +525,7 @@ def double_rotation(
     return double_rotation_spinor(line, alpha, beta).apply(as_multivector(a))
 
 
-def clifford_translate(a: MultivectorLike, xi, beta: float) -> Multivector:
+def clifford_translate(a: MultivectorLike, xi: CliffordLike, beta: float) -> Multivector:
     """Translate along the parallels of the Clifford bivector Xi by beta.
 
     The spinor is exp(-beta/2 * Xi); every point moves the same elliptic
@@ -614,9 +542,7 @@ def clifford_translate(a: MultivectorLike, xi, beta: float) -> Multivector:
 
 def quaternion_bridge(p: MultivectorLike) -> np.ndarray:
     """Coordinates of a point as the quaternion [w, x, y, z]."""
-    p = as_multivector(p)
-    if p.space is not _S or p.pure_grade() != 3:
-        raise ValueError("quaternion_bridge requires a grade-3 el3 element")
+    p = geometry.check_blade(p, _S, "point", "quaternion_bridge")
     return np.array([p.coeff("e123"), p.coeff("e320"), p.coeff("e130"), p.coeff("e210")])
 
 
@@ -663,14 +589,8 @@ def clifford_translate_quat(
 # construction helpers
 
 
-def line_from_points(p: MultivectorLike, q: MultivectorLike) -> Multivector:
-    """Join P v Q."""
-    return regressive(as_multivector(p), as_multivector(q))
-
-
-def line_from_planes(a: MultivectorLike, b: MultivectorLike) -> Multivector:
-    """Meet a ^ b."""
-    return outer(as_multivector(a), as_multivector(b))
+line_from_points = regressive      # join P v Q
+line_from_planes = outer           # meet a ^ b
 
 
 def point_on_line(line: MultivectorLike) -> Multivector:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -44,32 +44,12 @@ class FigureData:
     csv_header: Tuple[str, ...] = ()
     csv_rows: List[Tuple] = field(default_factory=list)
 
-    def add_path(self, label: str, points: List[Tuple[float, float]]) -> None:
-        # split already happened; drop degenerate fragments
-        if len(points) >= 2:
-            self.polylines.append((label, points))
-
 
 def _entity(scene: Scene, name: str) -> Multivector:
     try:
         return scene.entities[name]
     except KeyError:
         raise SceneError(f"figure requires an entity named {name!r}")
-
-
-def _chart_split(weights, coords):
-    """Break a coordinate sequence wherever the weight leaves the chart."""
-    runs, current = [], []
-    for w, xy in zip(weights, coords):
-        if abs(w) < CHART_CUTOFF:
-            if current:
-                runs.append(current)
-            current = []
-        else:
-            current.append(xy)
-    if current:
-        runs.append(current)
-    return runs
 
 
 # fixed orthographic camera for el3 charts (yaw then pitch, drop depth)
@@ -85,6 +65,37 @@ def _project3(x: float, y: float, z: float) -> Tuple[float, float]:
     return u, v
 
 
+# weight blade, chart blades and the 2D view of the chart, per space
+_CHARTS = {
+    Space.EL2: ("e12", ("e20", "e01"), lambda x, y: (x, y)),
+    Space.EL3: ("e123", ("e320", "e130", "e210"), _project3),
+}
+
+
+def _add_trace(fig: FigureData, label: str, prefix: Tuple, ts, xs: Iterable[Multivector]) -> None:
+    """CSV rows, chart coordinates and polylines of one sampled trajectory.
+
+    Each sample x at parameter t adds the row prefix + (t, weight, chart
+    coefficients).  A sample whose weight is below CHART_CUTOFF leaves the
+    chart and ends the current run; runs are labelled label.0, label.1,
+    ... in order, and single-point runs are dropped.
+    """
+    runs, run = [], []
+    for t, x in zip(ts, xs):
+        weight, names, view = _CHARTS[x.space]
+        w = x.coeff(weight)
+        coords = tuple(x.coeff(n) for n in names)
+        fig.csv_rows.append(prefix + (float(t), w) + coords)
+        if abs(w) >= CHART_CUTOFF:
+            run.append(view(*(c / w for c in coords)))
+        elif run:
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+    fig.polylines += [(f"{label}.{i}", r) for i, r in enumerate(runs) if len(r) >= 2]
+
+
 def _figure_circle(scene: Scene, samples: int) -> FigureData:
     if scene.space is not Space.EL2:
         raise SceneError("circle-trajectory requires an el2 scene")
@@ -93,18 +104,7 @@ def _figure_circle(scene: Scene, samples: int) -> FigureData:
     fig = FigureData(kind="circle-trajectory",
                      csv_header=("t", "e12", "e20", "e01"))
     ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    weights, coords = [], []
-    for t in ts:
-        x = el2.rotate(p, r, float(t))
-        w = x.coeff("e12")
-        fig.csv_rows.append((float(t), w, x.coeff("e20"), x.coeff("e01")))
-        weights.append(w)
-        if abs(w) >= CHART_CUTOFF:
-            coords.append((x.coeff("e20") / w, x.coeff("e01") / w))
-        else:
-            coords.append((math.nan, math.nan))
-    for i, run in enumerate(_chart_split(weights, coords)):
-        fig.add_path(f"trajectory.{i}", run)
+    _add_trace(fig, "trajectory", (), ts, (el2.rotate(p, r, float(t)) for t in ts))
     if abs(r.coeff("e12")) >= CHART_CUTOFF:
         fig.markers.append(("R", (r.coeff("e20") / r.coeff("e12"),
                                   r.coeff("e01") / r.coeff("e12"))))
@@ -115,20 +115,8 @@ def _sample_line(fig: FigureData, label: str, line: Multivector, samples: int,
                  row_prefix: Tuple) -> None:
     anchor = el3.point_on_line(line)
     ts = np.linspace(0.0, math.pi, samples)
-    weights, coords = [], []
-    for t in ts:
-        x = el3.sweep_line_point(line, anchor, float(t))
-        w = x.coeff("e123")
-        fig.csv_rows.append(row_prefix + (float(t), w, x.coeff("e320"),
-                                          x.coeff("e130"), x.coeff("e210")))
-        weights.append(w)
-        if abs(w) >= CHART_CUTOFF:
-            coords.append(_project3(x.coeff("e320") / w, x.coeff("e130") / w,
-                                    x.coeff("e210") / w))
-        else:
-            coords.append((math.nan, math.nan))
-    for i, run in enumerate(_chart_split(weights, coords)):
-        fig.add_path(f"{label}.{i}", run)
+    _add_trace(fig, label, row_prefix, ts,
+               (el3.sweep_line_point(line, anchor, float(t)) for t in ts))
 
 
 def _figure_parallels(scene: Scene, samples: int) -> FigureData:
@@ -173,21 +161,8 @@ def _figure_rotation(scene: Scene, samples: int) -> FigureData:
     ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     for name, seed in seeds:
         p = normalized(seed)
-        weights, coords = [], []
-        for t in ts:
-            s = exp_bivector(axis * (-0.5 * float(t)))
-            x = s.apply(p)
-            w = x.coeff("e123")
-            fig.csv_rows.append((name, float(t), w, x.coeff("e320"),
-                                 x.coeff("e130"), x.coeff("e210")))
-            weights.append(w)
-            if abs(w) >= CHART_CUTOFF:
-                coords.append(_project3(x.coeff("e320") / w, x.coeff("e130") / w,
-                                        x.coeff("e210") / w))
-            else:
-                coords.append((math.nan, math.nan))
-        for i, run in enumerate(_chart_split(weights, coords)):
-            fig.add_path(f"{name}.{i}", run)
+        _add_trace(fig, name, (name,), ts,
+                   (exp_bivector(axis * (-0.5 * float(t))).apply(p) for t in ts))
     return fig
 
 

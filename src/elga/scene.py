@@ -24,21 +24,21 @@ radians; there is no degree mode.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import algebra, el1, el2, el3
+from . import algebra, el1, el2, el3, geometry
 from .algebra import (
     AlgebraError,
     Multivector,
+    MultivectorLike,
     Space,
     from_coeff_dict,
-    plucker_residual,
-    is_simple_bivector,
     to_json_dict,
 )
 
@@ -54,13 +54,6 @@ class QueryError(Exception):
         super().__init__(f"query {query_name!r}: {cause}")
         self.query_name = query_name
         self.cause = cause
-
-
-_ROLE_GRADES = {
-    Space.EL1: {"point": 1},
-    Space.EL2: {"line": 1, "point": 2},
-    Space.EL3: {"plane": 1, "line": 2, "bivector": 2, "point": 3},
-}
 
 
 @dataclass(frozen=True)
@@ -82,22 +75,12 @@ class Scene:
 def _validate_entity(space: Space, name: str, role: str, mv: Multivector) -> None:
     if role == "any":
         return
-    grades = _ROLE_GRADES[space]
-    if role not in grades:
+    if role not in geometry.ROLE_GRADES[space]:
         raise SceneError(f"entity {name!r}: role {role!r} not valid in {space.value}")
     try:
-        g = mv.pure_grade()
-    except AlgebraError:
-        raise SceneError(f"entity {name!r}: mixed grades, not a valid {role}")
-    if g != grades[role]:
-        raise SceneError(
-            f"entity {name!r}: grade {g} does not match role {role!r}"
-        )
-    if role == "line" and space is Space.EL3 and not is_simple_bivector(mv):
-        raise SceneError(
-            f"entity {name!r}: plücker residual {plucker_residual(mv):.6g} "
-            f"exceeds tolerance {algebra.epsilon():.1g}"
-        )
+        geometry.check_blade(mv, space, role, role)
+    except (AlgebraError, ValueError) as e:
+        raise SceneError(f"entity {name!r}: {e}")
 
 
 def load_scene(obj: Mapping[str, object]) -> Scene:
@@ -151,8 +134,14 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
                 f"got {len(args)}"
             )
         for a, kind in zip(args, spec.arg_kinds):
-            if kind in ("mv", "xi") and (a not in entities if isinstance(a, str) else True):
-                raise SceneError(f"query {name!r}: unknown entity {a!r}")
+            if kind in ("mv", "xi"):
+                if not isinstance(a, str) or a not in entities:
+                    raise SceneError(f"query {name!r}: unknown entity {a!r}")
+                continue
+            try:
+                _LITERALS[kind](a)
+            except (TypeError, ValueError) as e:
+                raise SceneError(f"query {name!r}: {e}")
         queries.append(Query(name=name, op=op, args=tuple(args)))
     figure = obj.get("figure", {})
     if not isinstance(figure, Mapping):
@@ -182,24 +171,65 @@ class OpSpec:
     arg_kinds: Tuple[str, ...]  # mv | num | family | side | direction | kind | xi
 
 
-def _shared_ops() -> Dict[str, OpSpec]:
-    return {
-        "norm": OpSpec(algebra.norm, ("mv",)),
-        "dual_I": OpSpec(algebra.dual_I, ("mv",)),
-        "regressive": OpSpec(algebra.regressive, ("mv", "mv")),
-        "outer": OpSpec(algebra.outer, ("mv", "mv")),
-        "inner": OpSpec(algebra.inner, ("mv", "mv")),
-        "geometric_product": OpSpec(algebra.geometric_product, ("mv", "mv")),
-        "commutator": OpSpec(algebra.commutator, ("mv", "mv")),
-        "reverse": OpSpec(algebra.reverse, ("mv",)),
-        "inverse_blade": OpSpec(algebra.inverse_blade, ("mv",)),
-        "canonicalize_sign": OpSpec(algebra.canonicalize_sign, ("mv",)),
-        "exp_bivector": OpSpec(algebra.exp_bivector, ("mv",)),
-    }
+def _number(raw) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
 
 
-def _triangle_area(p, q, r):
+def _projection_kind(raw) -> int:
+    if raw not in (1, 2):
+        raise ValueError(f"kind must be 1 or 2, got {raw!r}")
+    return int(raw)
+
+
+# Scene arg kind of each parameter annotation an op may carry, and the
+# converters of the literal (non-entity) kinds.
+_ARG_KINDS = {
+    MultivectorLike: "mv",
+    el3.CliffordLike: "xi",
+    float: "num",
+    Union[el3.Family, str]: "family",
+    Union[el3.Side, str]: "side",
+    Union[el3.Direction, str]: "direction",
+    Literal[1, 2]: "kind",
+}
+_LITERALS = {
+    "num": _number,
+    "family": el3.Family,
+    "side": el3.Side,
+    "direction": el3.Direction,
+    "kind": _projection_kind,
+}
+
+
+def _triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
     return el2.triangle_area(el2.TriangleEl2(p, q, r))
+
+
+# Op names per space: the shared algebra ops, then the space module's own.
+_SHARED_OPS = ("norm", "dual_I", "regressive", "outer", "inner", "geometric_product",
+               "commutator", "reverse", "inverse_blade", "canonicalize_sign", "exp_bivector")
+_OPS = {
+    Space.EL1: (el1, ("distance", "polar", "translate", "reflect", "project", "reject")),
+    Space.EL2: (el2, ("distance_pp", "angle_ll", "distance_lp", "perpendicular_through",
+                      "triangle_area", "right_triangle_area", "project", "reject",
+                      "reflect_topdown", "reflect_bottomup", "rotate", "classify_circle")),
+    Space.EL3: (el3, ("distance_pp", "distance_plane_point", "distance_line_point",
+                      "angle_planes", "angle_line_plane", "axis_decompose", "clifford_frame",
+                      "clifford_parallel", "clifford_bivector", "parallel_through_point",
+                      "line_line_metrics", "project_on_plane", "reject_by_plane",
+                      "project_on_point", "reject_by_point", "project_on_line",
+                      "reject_by_line", "project_line_on_line", "reject_line_by_line",
+                      "perpendicular_through", "reflect", "double_rotation",
+                      "clifford_translate", "quaternion_bridge", "clifford_translate_quat")),
+}
+
+
+def _op_spec(func: Callable) -> OpSpec:
+    """Arg kinds from the annotations; None-defaulted tolerance overrides are no scene args."""
+    params = inspect.signature(func, eval_str=True).parameters.values()
+    return OpSpec(func, tuple(_ARG_KINDS[p.annotation] for p in params if p.default is not None))
 
 
 _REGISTRY: Dict[Space, Dict[str, OpSpec]] = {}
@@ -207,90 +237,22 @@ _REGISTRY: Dict[Space, Dict[str, OpSpec]] = {}
 
 def op_registry(space: Space) -> Dict[str, OpSpec]:
     """Query ops available for a given space."""
-    if space in _REGISTRY:
-        return _REGISTRY[space]
-    ops = _shared_ops()
-    if space is Space.EL1:
-        ops.update({
-            "distance": OpSpec(el1.distance, ("mv", "mv")),
-            "polar": OpSpec(lambda a: el1.polar(a).mv, ("mv",)),
-            "translate": OpSpec(lambda a, lam: el1.translate(a, lam).mv, ("mv", "num")),
-            "reflect": OpSpec(lambda a, b: el1.reflect(a, b).mv, ("mv", "mv")),
-            "project": OpSpec(el1.project, ("mv", "mv")),
-            "reject": OpSpec(el1.reject, ("mv", "mv")),
-        })
-    elif space is Space.EL2:
-        ops.update({
-            "distance_pp": OpSpec(el2.distance_pp, ("mv", "mv")),
-            "angle_ll": OpSpec(el2.angle_ll, ("mv", "mv")),
-            "distance_lp": OpSpec(el2.distance_lp, ("mv", "mv")),
-            "perpendicular_through": OpSpec(el2.perpendicular_through, ("mv", "mv")),
-            "triangle_area": OpSpec(_triangle_area, ("mv", "mv", "mv")),
-            "right_triangle_area": OpSpec(el2.right_triangle_area, ("mv", "mv", "mv")),
-            "project": OpSpec(el2.project, ("mv", "mv")),
-            "reject": OpSpec(el2.reject, ("mv", "mv")),
-            "reflect_topdown": OpSpec(el2.reflect_topdown, ("mv", "mv")),
-            "reflect_bottomup": OpSpec(el2.reflect_bottomup, ("mv", "mv")),
-            "rotate": OpSpec(el2.rotate, ("mv", "mv", "num")),
-            "classify_circle": OpSpec(el2.classify_circle, ("mv", "mv")),
-        })
-    else:
-        ops.update({
-            "distance_pp": OpSpec(el3.distance_pp, ("mv", "mv")),
-            "distance_plane_point": OpSpec(el3.distance_plane_point, ("mv", "mv")),
-            "distance_line_point": OpSpec(el3.distance_line_point, ("mv", "mv")),
-            "angle_planes": OpSpec(el3.angle_planes, ("mv", "mv")),
-            "angle_line_plane": OpSpec(el3.angle_line_plane, ("mv", "mv")),
-            "axis_decompose": OpSpec(el3.axis_decompose, ("mv",)),
-            "clifford_frame": OpSpec(el3.clifford_frame, ("mv",)),
-            "clifford_parallel": OpSpec(el3.clifford_parallel, ("mv", "family", "num", "num")),
-            "clifford_bivector": OpSpec(el3.clifford_bivector, ("mv", "family")),
-            "parallel_through_point": OpSpec(el3.parallel_through_point, ("xi", "mv")),
-            "line_line_metrics": OpSpec(el3.line_line_metrics, ("mv", "mv")),
-            "project_on_plane": OpSpec(el3.project_on_plane, ("mv", "mv")),
-            "reject_by_plane": OpSpec(el3.reject_by_plane, ("mv", "mv")),
-            "project_on_point": OpSpec(el3.project_on_point, ("mv", "mv")),
-            "reject_by_point": OpSpec(el3.reject_by_point, ("mv", "mv")),
-            "project_on_line": OpSpec(el3.project_on_line, ("mv", "mv")),
-            "reject_by_line": OpSpec(el3.reject_by_line, ("mv", "mv")),
-            "project_line_on_line": OpSpec(el3.project_line_on_line, ("mv", "mv", "kind")),
-            "reject_line_by_line": OpSpec(el3.reject_line_by_line, ("mv", "mv", "kind")),
-            "perpendicular_through": OpSpec(el3.perpendicular_through, ("mv", "mv")),
-            "reflect": OpSpec(el3.reflect, ("mv", "mv", "direction")),
-            "double_rotation": OpSpec(el3.double_rotation, ("mv", "mv", "num", "num")),
-            "clifford_translate": OpSpec(el3.clifford_translate, ("mv", "xi", "num")),
-            "quaternion_bridge": OpSpec(el3.quaternion_bridge, ("mv",)),
-            "clifford_translate_quat": OpSpec(
-                el3.clifford_translate_quat, ("mv", "mv", "num", "side")),
-        })
-    _REGISTRY[space] = ops
-    return ops
+    if space not in _REGISTRY:
+        module, names = _OPS[space]
+        ops = {name: getattr(algebra, name) for name in _SHARED_OPS}
+        ops.update((name, getattr(module, name)) for name in names)
+        if space is Space.EL2:
+            ops["triangle_area"] = _triangle_area
+        _REGISTRY[space] = {name: _op_spec(func) for name, func in ops.items()}
+    return _REGISTRY[space]
 
 
-def _coerce(scene: Scene, kind: str, raw) :
+def _coerce(scene: Scene, kind: str, raw):
     if kind == "mv":
-        if not isinstance(raw, str):
-            raise SceneError(f"expected an entity name, got {raw!r}")
         return scene.entities[raw]
     if kind == "xi":
-        if not isinstance(raw, str):
-            raise SceneError(f"expected an entity name, got {raw!r}")
         return el3.CliffordBivector.from_bivector(scene.entities[raw])
-    if kind == "num":
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise SceneError(f"expected a number, got {raw!r}")
-        return float(raw)
-    if kind == "family":
-        return el3.Family(raw)
-    if kind == "side":
-        return el3.Side(raw)
-    if kind == "direction":
-        return el3.Direction(raw)
-    if kind == "kind":
-        if raw not in (1, 2):
-            raise SceneError(f"kind must be 1 or 2, got {raw!r}")
-        return int(raw)
-    raise AssertionError(kind)
+    return _LITERALS[kind](raw)
 
 
 def _round_sig(x: float, digits: int = 15) -> float:
@@ -306,10 +268,9 @@ def serialize_value(value, digits: int = 15):
     multivector coefficient arrays are emitted at full precision so the
     JSON round-trips to bit-identical coefficients.
     """
-    if isinstance(value, Multivector):
-        return to_json_dict(value)
-    if isinstance(value, algebra.Spinor):
-        return to_json_dict(value.mv)
+    mv = value if isinstance(value, Multivector) else getattr(value, "mv", None)
+    if isinstance(mv, Multivector):        # blade views and spinors carry .mv
+        return to_json_dict(mv)
     if isinstance(value, el3.CliffordBivector):
         return {"sign": value.sign.value, "value": to_json_dict(value.value)}
     if isinstance(value, bool):
@@ -338,9 +299,9 @@ def evaluate_scene(scene: Scene) -> Dict[str, object]:
     results = []
     for query in scene.queries:
         spec = ops[query.op]
-        args = [_coerce(scene, k, raw) for k, raw in zip(spec.arg_kinds, query.args)]
         try:
-            value = spec.func(*args)
+            value = spec.func(*(_coerce(scene, k, raw)
+                                for k, raw in zip(spec.arg_kinds, query.args)))
         except (AlgebraError, ValueError, ZeroDivisionError) as e:
             raise QueryError(query.name, e)
         results.append({

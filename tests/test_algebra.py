@@ -446,3 +446,18 @@ def test_json_omitted_keys_are_zero():
 def test_normalize_zero_raises():
     with pytest.raises(ZeroInput):
         normalized(Multivector.zero(Space.EL2))
+
+
+def test_tolerance_is_read_only_through_epsilon():
+    import elga
+    from elga import algebra
+    assert not hasattr(elga, "EPSILON") and "EPSILON" not in elga.__all__
+    near = Multivector.from_terms(Space.EL3, {"e10": 1, "e23": 1e-4, "e20": 1})
+    before = algebra.epsilon()
+    assert not algebra.is_simple_bivector(near)
+    try:
+        algebra.set_epsilon(1e-3)
+        assert algebra.epsilon() == 1e-3
+        assert algebra.is_simple_bivector(near)
+    finally:
+        algebra.set_epsilon(before)

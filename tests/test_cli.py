@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elga import el3
-from elga.algebra import Multivector, Space, from_json_dict, normalized
+from elga import el1, el2, el3
+from elga.algebra import Multivector, Space, exp_bivector, from_json_dict, normalized
 from elga.scene import (
     QueryError,
     SceneError,
     evaluate_scene,
     load_scene,
     load_scene_file,
+    op_registry,
     report_to_json,
     round_report,
 )
@@ -371,3 +373,130 @@ def test_round_report_rounds_recursively():
     assert rounded["a"] == 0.12346
     assert rounded["b"][1]["c"] == 3.1416
     assert rounded["s"] == "x"
+
+
+# ---------------------------------------------------------------------------
+# op registry and query args
+
+_SHARED = {"norm": ("mv",), "dual_I": ("mv",), "regressive": ("mv", "mv"),
+           "outer": ("mv", "mv"), "inner": ("mv", "mv"),
+           "geometric_product": ("mv", "mv"), "commutator": ("mv", "mv"),
+           "reverse": ("mv",), "inverse_blade": ("mv",),
+           "canonicalize_sign": ("mv",), "exp_bivector": ("mv",)}
+_MV2 = ("mv", "mv")
+OP_TABLE = {
+    "el1": {**_SHARED, "distance": _MV2, "polar": ("mv",), "translate": ("mv", "num"),
+            "reflect": _MV2, "project": _MV2, "reject": _MV2},
+    "el2": {**_SHARED, "distance_pp": _MV2, "angle_ll": _MV2, "distance_lp": _MV2,
+            "perpendicular_through": _MV2, "triangle_area": ("mv", "mv", "mv"),
+            "right_triangle_area": ("mv", "mv", "mv"), "project": _MV2, "reject": _MV2,
+            "reflect_topdown": _MV2, "reflect_bottomup": _MV2,
+            "rotate": ("mv", "mv", "num"), "classify_circle": _MV2},
+    "el3": {**_SHARED, "distance_pp": _MV2, "distance_plane_point": _MV2,
+            "distance_line_point": _MV2, "angle_planes": _MV2, "angle_line_plane": _MV2,
+            "axis_decompose": ("mv",), "clifford_frame": ("mv",),
+            "clifford_parallel": ("mv", "family", "num", "num"),
+            "clifford_bivector": ("mv", "family"), "parallel_through_point": ("xi", "mv"),
+            "line_line_metrics": _MV2, "project_on_plane": _MV2, "reject_by_plane": _MV2,
+            "project_on_point": _MV2, "reject_by_point": _MV2, "project_on_line": _MV2,
+            "reject_by_line": _MV2, "project_line_on_line": ("mv", "mv", "kind"),
+            "reject_line_by_line": ("mv", "mv", "kind"), "perpendicular_through": _MV2,
+            "reflect": ("mv", "mv", "direction"), "double_rotation": ("mv", "mv", "num", "num"),
+            "clifford_translate": ("mv", "xi", "num"), "quaternion_bridge": ("mv",),
+            "clifford_translate_quat": ("mv", "mv", "num", "side")},
+}
+
+
+def test_registry_derived_from_annotations_matches_op_table():
+    derived = {space.value: {op: spec.arg_kinds for op, spec in op_registry(space).items()}
+               for space in Space}
+    assert derived == OP_TABLE
+
+
+def test_names_used_by_readme_and_bench_resolve():
+    root = SCENES.parents[2]
+    modules = {"el1": el1, "el2": el2, "el3": el3}
+    sources = [root / "README.md", *sorted((root / "bench").rglob("*.py"))]
+    used = set()
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        imported = re.search(r"from elga import ([^\n]*)", text)
+        for mod in (imported.group(1).replace(",", " ").split() if imported else ()):
+            if mod in modules:
+                used |= {(mod, name) for name in re.findall(rf"\b{mod}\.(\w+)", text)}
+    assert {"rotate", "sweep_line_point", "LineEl3"} <= {name for _, name in used}
+    missing = [f"{mod}.{name}" for mod, name in used if not hasattr(modules[mod], name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("space, entities, query, code", [
+    ("el3", {"L": {"role": "line", "coeffs": {"e23": 1}}},
+     {"name": "par", "op": "clifford_parallel", "args": ["L", "sideways", 0.0, 1.0]}, 1),
+    ("el2", {"P": {"role": "point", "coeffs": {"e12": 1}},
+             "R": {"role": "point", "coeffs": {"e12": 1, "e20": 0.5}}},
+     {"name": "rot", "op": "rotate", "args": ["P", "R", "0.5"]}, 1),
+    ("el3", {"L": {"role": "line", "coeffs": {"e23": 1}},
+             "P": {"role": "point", "coeffs": {"e123": 1}}},
+     {"name": "ptp", "op": "parallel_through_point", "args": ["L", "P"]}, 2),
+], ids=["bad-family", "string-angle", "non-clifford-xi"])
+def test_bad_query_arg_exits_cleanly(tmp_path, space, entities, query, code):
+    path = tmp_path / "bad_arg.json"
+    path.write_text(json.dumps({"space": space, "entities": entities, "queries": [query]}))
+    result = run_cli("eval", str(path))
+    assert result.returncode == code
+    assert query["name"] in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# figure rows against the per-sample motions
+
+
+def _assert_rows(rows, expected):
+    """Each row ends in (t, coefficients), equal to its expected sample."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        got = np.array(row[-len(want):], dtype=float)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12, row
+
+
+def _coeffs(mv, names):
+    return [mv.coeff(n) for n in names]
+
+
+def test_figure_rows_match_per_sample_motions():
+    samples = 7
+    el2_scene = load_scene_file(str(SCENES / "paper_el2.json"))
+    p, r = (normalized(el2_scene.entities[n]) for n in ("P", "R"))
+    fig = figures.build_figure(el2_scene, "circle-trajectory", samples)
+    ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    _assert_rows(fig.csv_rows, [[t, *_coeffs(el2.rotate(p, r, t), ("e12", "e20", "e01"))]
+                                for t in ts])
+
+    point_names = ("e123", "e320", "e130", "e210")
+    raw = json.loads((SCENES / "paper_el3.json").read_text())
+    count = raw["figure"]["parallels"] = 2
+    el3_scene = load_scene(raw)
+    fig = figures.build_figure(el3_scene, "clifford-parallels", samples)
+    line = normalized(el3_scene.entities["line"])
+    theta = raw["figure"]["theta"]
+    lines = [(("line", -1), line)] + [
+        ((fam, i), el3.clifford_parallel(line, fam, 2.0 * math.pi * i / count, theta))
+        for fam in ("positive", "negative") for i in range(count)]
+    expected, keys = [], []
+    for key, ln in lines:
+        anchor = el3.point_on_line(ln)
+        for t in np.linspace(0.0, math.pi, samples):
+            keys.append(key)
+            expected.append([t, *_coeffs(el3.sweep_line_point(ln, anchor, t), point_names)])
+    assert [tuple(row[:2]) for row in fig.csv_rows] == keys
+    _assert_rows(fig.csv_rows, expected)
+
+    fig = figures.build_figure(el3_scene, "rotation-flow", samples)
+    axis = normalized(el3_scene.entities["axis"])
+    seeds = sorted(n for n, role in el3_scene.roles.items() if role == "point")
+    ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    expected = [[t, *_coeffs(exp_bivector(axis * (-0.5 * t)).apply(
+        normalized(el3_scene.entities[n])), point_names)] for n in seeds for t in ts]
+    assert [row[0] for row in fig.csv_rows] == [n for n in seeds for _ in ts]
+    _assert_rows(fig.csv_rows, expected)
