@@ -26,6 +26,7 @@ modules expect.  Note I**2 = -1 in El1 and El2, +1 in El3.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -176,15 +177,18 @@ class _Tables:
         names = _DISPLAY_NAMES[space]
         self.names = names
         self.name_signs = np.empty(n)
-        self.name_to_slot: Dict[str, Tuple[int, float]] = {"1": (0, 1.0)}
-        for i, nm in enumerate(names):
-            if nm == "1":
-                self.name_signs[i] = 1.0
-                continue
+        self.name_signs[0] = 1.0
+        for i, nm in enumerate(names[1:], 1):
             indices, s = _parse_indices(nm, dim)
             assert sum(1 << k for k in indices) == i
             self.name_signs[i] = s
-        self.name_to_slot["I"] = (self.full, 1.0)
+        # every index permutation of every blade, so valid names never re-parse
+        self.name_to_slot: Dict[str, Tuple[int, float]] = {"1": (0, 1.0), "I": (self.full, 1.0)}
+        for k in range(1, dim + 1):
+            for perm in itertools.permutations(range(dim), k):
+                nm = "e" + "".join(map(str, perm))
+                indices, s = _parse_indices(nm, dim)
+                self.name_to_slot[nm] = (sum(1 << j for j in indices), s)
 
 
 _TABLES: Dict[Space, _Tables] = {s: _Tables(s) for s in Space}
@@ -472,8 +476,12 @@ def grade(a: MultivectorLike, k: int) -> Multivector:
 
 
 def coeff_norm(a: MultivectorLike) -> float:
-    """Euclidean norm of the raw coefficient array."""
-    return float(np.linalg.norm(as_multivector(a).coeffs))
+    """Euclidean norm of the raw coefficient array.
+
+    sqrt(c.c) is numpy's own 1-D norm, without its dispatch overhead.
+    """
+    c = as_multivector(a).coeffs
+    return math.sqrt(c.dot(c))
 
 
 def plucker_residual(a: MultivectorLike) -> float:
@@ -681,6 +689,44 @@ def exp_bivector(b: MultivectorLike, eps: float = None) -> Spinor:
     else:
         value = _exp_simple(b)
     return Spinor(value)
+
+
+# A normalised generator squares to -1 only up to rounding; the unit check
+# never asks for closer agreement than this, whatever the tolerance.
+_UNIT_ROUNDING = 16 * np.finfo(float).eps
+
+
+def orbit(
+    b: MultivectorLike, x: MultivectorLike, eps: float = None
+) -> Tuple[Multivector, Multivector, Multivector]:
+    """Closed form (A0, Ac, As) of the orbit of x under exp(-t/2 * b).
+
+    For b**2 = -1 the sandwich exp(-t/2 b) x exp(t/2 b) is exactly
+    A0 + Ac cos t + As sin t, with A0 = (x - bxb)/2 the part of x that
+    commutes with b, Ac = (x + bxb)/2 the part that anticommutes with it
+    and As = (xb - bx)/2.  The generator is checked once: grade 2,
+    b.b = -1 within tolerance and simple (the Plucker check of a scene's
+    el3 lines); AlgebraError (NonSimpleBivector for the last) names the
+    condition that failed.
+    """
+    b, x = as_multivector(b), as_multivector(x)
+    b._check(x)
+    eps = epsilon() if eps is None else eps
+    g = b.grades(1e-12)
+    if g != (2,):
+        raise AlgebraError(f"orbit generator must be grade 2, got grades {g}")
+    square = inner(b, b).scalar_part
+    if abs(square + 1.0) > max(eps, _UNIT_ROUNDING):
+        raise AlgebraError(f"orbit generator must be unit: b.b = {square!r}, not -1")
+    if not is_simple_bivector(b, eps):
+        raise NonSimpleBivector(
+            f"orbit generator must be simple: plucker residual "
+            f"{plucker_residual(b):.3e} exceeds tolerance {eps:.1g}"
+        )
+    bx = geometric_product(b, x)
+    xb = geometric_product(x, b)
+    bxb = geometric_product(bx, b)
+    return (x - bxb) * 0.5, (x + bxb) * 0.5, (xb - bx) * 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from .algebra import (
     Space,
     as_multivector,
     coeff_norm,
-    commutator,
     exp_bivector,
-    geometric_product,
     inner,
     normalized,
+    orbit,
     regressive,
 )
 
@@ -235,7 +234,8 @@ def classify_circle(r: MultivectorLike, p: MultivectorLike, eps: float = None) -
     """Classify the circle through P centred at R by its chart appearance.
 
     The e12 coefficient along the trajectory is exactly
-    c + a*cos(t) + b*sin(t); the number of roots in [0, 2*pi) follows from
+    c + a*cos(t) + b*sin(t), read off the closed-form orbit
+    (algebra.orbit); the number of roots in [0, 2*pi) follows from
     comparing |c| with hypot(a, b): none -> elliptic, one (tangent) ->
     parabolic, two -> hyperbolic.  A radius of pi/2 is the straight-line
     case.  P within eps of R (zero radius) counts as elliptic.
@@ -248,10 +248,7 @@ def classify_circle(r: MultivectorLike, p: MultivectorLike, eps: float = None) -
         return CircleKind.LINE
     if radius <= eps:
         return CircleKind.ELLIPTIC
-    rpr = geometric_product(geometric_product(rn, pn), rn)
-    c = 0.5 * (pn - rpr).coeff("e12")
-    a = 0.5 * (pn + rpr).coeff("e12")
-    b = commutator(pn, rn).coeff("e12")
+    c, a, b = (term.coeff("e12") for term in orbit(rn, pn, eps))
     amp = math.hypot(a, b)
     if abs(abs(c) - amp) <= eps:
         return CircleKind.PARABOLIC

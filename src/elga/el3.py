@@ -296,23 +296,23 @@ class CliffordBivector:
     sign: Family
 
     def __post_init__(self):
-        v = as_multivector(self.value)
-        expected = v if self.sign is Family.POSITIVE else -v
-        got = dual_I(v)
-        if not np.allclose(got.coeffs, expected.coeffs,
-                           atol=epsilon() * max(coeff_norm(v), 1.0)):
+        if not _fixed_by_I(as_multivector(self.value), self.sign):
             raise ValueError("I*value does not match the declared sign")
 
     @classmethod
     def from_bivector(cls, mv: MultivectorLike) -> "CliffordBivector":
         mv = as_multivector(mv)
-        dual = dual_I(mv)
-        scale = max(coeff_norm(mv), 1e-300)
-        if coeff_norm(dual - mv) <= epsilon() * scale:
-            return cls(mv, Family.POSITIVE)
-        if coeff_norm(dual + mv) <= epsilon() * scale:
-            return cls(mv, Family.NEGATIVE)
+        for sign in Family:
+            if _fixed_by_I(mv, sign):
+                return cls(mv, sign)
         raise ValueError("bivector is not fixed by the pseudoscalar (not Clifford)")
+
+
+def _fixed_by_I(v: Multivector, sign: Family) -> bool:
+    """I*v = v (positive) or -v (negative), relative to |v| within tolerance."""
+    dual = dual_I(v)
+    off = dual - v if sign is Family.POSITIVE else dual + v
+    return coeff_norm(off) <= epsilon() * max(coeff_norm(v), 1e-300)
 
 
 def clifford_bivector(line: MultivectorLike, sign: Union[Family, str]) -> CliffordBivector:

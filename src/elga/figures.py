@@ -10,6 +10,12 @@ Three kinds are supported:
 * ``rotation-flow`` (el3): orbits of every point-role entity under simple
   rotation around entity ``axis``.
 
+Every trajectory is the orbit of a point under exp(-t/2 * b) for a unit
+simple generator b (R, the polar line of the swept line, or ``axis``),
+sampled at all t at once from its closed form A0 + Ac cos t + As sin t
+(``algebra.orbit``).  ``el2.rotate``, ``el3.sweep_line_point`` and
+``exp_bivector`` give the same points one sandwich at a time.
+
 Chart coordinates divide by the weight coefficient (e12 in el2, e123 in
 el3); samples with |weight| < 1e-6 leave the chart and split the
 polyline, so emitted polylines contain only finite coordinates.  The CSV
@@ -21,12 +27,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from . import el2, el3
-from .algebra import Multivector, Space, exp_bivector, normalized
+from . import el3
+from .algebra import Multivector, Space, dual_I, normalized, orbit, tables
 from .scene import Scene, SceneError
 
 CHART_CUTOFF = 1e-6
@@ -65,34 +71,36 @@ def _project3(x: float, y: float, z: float) -> Tuple[float, float]:
     return u, v
 
 
-# weight blade, chart blades and the 2D view of the chart, per space
+# weight blade then chart blades, and the 2D view of the chart, per space
 _CHARTS = {
-    Space.EL2: ("e12", ("e20", "e01"), lambda x, y: (x, y)),
-    Space.EL3: ("e123", ("e320", "e130", "e210"), _project3),
+    Space.EL2: (("e12", "e20", "e01"), lambda x, y: (x, y)),
+    Space.EL3: (("e123", "e320", "e130", "e210"), _project3),
 }
 
 
-def _add_trace(fig: FigureData, label: str, prefix: Tuple, ts, xs: Iterable[Multivector]) -> None:
-    """CSV rows, chart coordinates and polylines of one sampled trajectory.
+def _add_trace(fig: FigureData, label: str, prefix: Tuple, ts: np.ndarray,
+               b: Multivector, x: Multivector) -> None:
+    """CSV rows, chart coordinates and polylines of the orbit of x under b.
 
-    Each sample x at parameter t adds the row prefix + (t, weight, chart
-    coefficients).  A sample whose weight is below CHART_CUTOFF leaves the
-    chart and ends the current run; runs are labelled label.0, label.1,
-    ... in order, and single-point runs are dropped.
+    The orbit is sampled at every t in ts from its closed form
+    A0 + Ac cos t + As sin t (algebra.orbit).  Each sample adds the row
+    prefix + (t, weight, chart coefficients).  A sample whose weight is
+    below CHART_CUTOFF leaves the chart and ends the current run; runs are
+    labelled label.0, label.1, ... in order, and single-point runs are
+    dropped.
     """
-    runs, run = [], []
-    for t, x in zip(ts, xs):
-        weight, names, view = _CHARTS[x.space]
-        w = x.coeff(weight)
-        coords = tuple(x.coeff(n) for n in names)
-        fig.csv_rows.append(prefix + (float(t), w) + coords)
-        if abs(w) >= CHART_CUTOFF:
-            run.append(view(*(c / w for c in coords)))
-        elif run:
-            runs.append(run)
-            run = []
-    if run:
-        runs.append(run)
+    a0, ac, as_ = orbit(b, x)
+    names, view = _CHARTS[x.space]
+    xs = a0.coeffs + np.outer(np.cos(ts), ac.coeffs) + np.outer(np.sin(ts), as_.coeffs)
+    slots, signs = zip(*(tables(x.space).name_to_slot[n] for n in names))
+    cols = xs[:, list(slots)] * signs
+    fig.csv_rows += [prefix + (t,) + tuple(row)
+                     for t, row in zip(ts.tolist(), cols.tolist())]
+    inside = np.flatnonzero(np.abs(cols[:, 0]) >= CHART_CUTOFF)
+    chart = cols[inside, 1:] / cols[inside, :1]
+    points = list(zip(*(c.tolist() for c in view(*chart.T))))
+    ends = [0, *(np.flatnonzero(np.diff(inside) > 1) + 1).tolist(), len(inside)]
+    runs = [points[i:j] for i, j in zip(ends, ends[1:])]
     fig.polylines += [(f"{label}.{i}", r) for i, r in enumerate(runs) if len(r) >= 2]
 
 
@@ -104,7 +112,7 @@ def _figure_circle(scene: Scene, samples: int) -> FigureData:
     fig = FigureData(kind="circle-trajectory",
                      csv_header=("t", "e12", "e20", "e01"))
     ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    _add_trace(fig, "trajectory", (), ts, (el2.rotate(p, r, float(t)) for t in ts))
+    _add_trace(fig, "trajectory", (), ts, r, p)
     if abs(r.coeff("e12")) >= CHART_CUTOFF:
         fig.markers.append(("R", (r.coeff("e20") / r.coeff("e12"),
                                   r.coeff("e01") / r.coeff("e12"))))
@@ -113,10 +121,10 @@ def _figure_circle(scene: Scene, samples: int) -> FigureData:
 
 def _sample_line(fig: FigureData, label: str, line: Multivector, samples: int,
                  row_prefix: Tuple) -> None:
-    anchor = el3.point_on_line(line)
+    """Sweep a point of the line along it: rotation around its polar line."""
     ts = np.linspace(0.0, math.pi, samples)
     _add_trace(fig, label, row_prefix, ts,
-               (el3.sweep_line_point(line, anchor, float(t)) for t in ts))
+               dual_I(normalized(line)), el3.point_on_line(line))
 
 
 def _figure_parallels(scene: Scene, samples: int) -> FigureData:
@@ -160,9 +168,7 @@ def _figure_rotation(scene: Scene, samples: int) -> FigureData:
                      csv_header=("seed", "t", "e123", "e320", "e130", "e210"))
     ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     for name, seed in seeds:
-        p = normalized(seed)
-        _add_trace(fig, name, (name,), ts,
-                   (exp_bivector(axis * (-0.5 * float(t))).apply(p) for t in ts))
+        _add_trace(fig, name, (name,), ts, axis, normalized(seed))
     return fig
 
 

@@ -32,12 +32,15 @@ from elga.algebra import (
     j_map_inverse,
     norm,
     normalized,
+    orbit,
     outer,
     regressive,
     reverse,
+    tables,
     to_coeff_dict,
     to_json_dict,
 )
+from elga.algebra import _parse_indices
 from helpers import (
     assert_mv_close,
     assert_mv_close_up_to_sign,
@@ -375,6 +378,57 @@ def test_spinor_product_closure(rng):
 def test_exp_requires_grade_two():
     with pytest.raises(AlgebraError):
         exp_bivector(Multivector.basis(Space.EL2, "e0"))
+
+
+_GENERATORS = {
+    "el2-point": lambda rng: rand_point(Space.EL2, rng),
+    "el3-line": rand_line_el3,
+    "el3-polar-line": lambda rng: dual_I(rand_line_el3(rng)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_GENERATORS)), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
+def test_orbit_matches_per_sample_sandwich(kind, seed, t):
+    rng = np.random.default_rng(seed)
+    b = _GENERATORS[kind](rng)
+    x = rand_mv(b.space, rng)
+    a0, ac, as_ = orbit(b, x)
+    sample = a0 + ac * math.cos(t) + as_ * math.sin(t)
+    assert_mv_close(sample, exp_bivector(b * (-0.5 * t)).apply(x), 1e-12)
+
+
+def test_orbit_rejects_bad_generators(rng):
+    for _ in range(50):     # b.b of a normalised point is -1 only up to rounding
+        orbit(rand_point(Space.EL2, rng), rand_point(Space.EL2, rng), eps=1e-17)
+    x = Multivector.basis(Space.EL3, "e123")
+    with pytest.raises(AlgebraError, match="grade 2"):
+        orbit(Multivector.basis(Space.EL3, "e1"), x)
+    with pytest.raises(AlgebraError, match="unit"):
+        orbit(Multivector.basis(Space.EL3, "e12") * 2.0, x)
+    with pytest.raises(NonSimpleBivector, match="simple"):
+        orbit(Multivector.from_terms(Space.EL3, {"e10": 0.6, "e23": 0.8}), x)
+
+
+def test_coeff_norm_equals_numpy_norm_bit_for_bit(rng):
+    with np.errstate(over="ignore"):                 # both overflow to inf at 1e200
+        for scale in (1.0, 1e-160, 1e-200, 1e150, 1e200):
+            for space in SPACES:
+                for _ in range(20):
+                    a = rand_mv(space, rng, scale)
+                    assert coeff_norm(a) == float(np.linalg.norm(a.coeffs))
+
+
+def test_name_table_holds_every_display_name_with_its_parsed_sign():
+    for space in SPACES:
+        t = tables(space)
+        assert set(t.names) <= set(t.name_to_slot)
+        for name, entry in t.name_to_slot.items():
+            if name in ("1", "I"):
+                continue
+            indices, sign = _parse_indices(name, space.dim)
+            assert entry == (sum(1 << i for i in indices), sign), (space, name)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elga import el1, el2, el3
+from elga import algebra, el1, el2, el3
 from elga.algebra import Multivector, Space, exp_bivector, from_json_dict, normalized
 from elga.scene import (
     QueryError,
@@ -263,6 +263,18 @@ def test_figure_zero_samples_exit_1(tmp_path):
     assert result.returncode == 1
 
 
+def test_figure_clifford_bivector_axis_exit_2(tmp_path):
+    scene = tmp_path / "clifford_axis.json"
+    scene.write_text(json.dumps({"space": "el3", "entities": {
+        "axis": {"coeffs": {"e10": 1, "e23": 1}},
+        "s": {"role": "point", "coeffs": {"e123": 1}},
+    }, "queries": []}))
+    result = run_cli("figure", str(scene), "--kind", "rotation-flow",
+                     "--out", str(tmp_path / "fig"))
+    assert result.returncode == 2
+    assert "must be simple" in result.stderr
+
+
 def test_figure_writes_svg_and_csv(tmp_path):
     out = tmp_path / "flow"
     result = run_cli("figure", str(SCENES / "paper_el3.json"),
@@ -500,3 +512,31 @@ def test_figure_rows_match_per_sample_motions():
         normalized(el3_scene.entities[n])), point_names)] for n in seeds for t in ts]
     assert [row[0] for row in fig.csv_rows] == [n for n in seeds for _ in ts]
     _assert_rows(fig.csv_rows, expected)
+
+
+def test_figures_make_no_spinor_per_sample(monkeypatch):
+    # loading first builds the op registries from the unpatched functions
+    el2_scene = load_scene_file(str(SCENES / "paper_el2.json"))
+    el3_scene = load_scene_file(str(SCENES / "paper_el3.json"))
+    calls = []
+    spinor_init, exp = algebra.Spinor.__init__, algebra.exp_bivector
+
+    def counted_init(self, mv):
+        calls.append("Spinor")
+        spinor_init(self, mv)
+
+    def counted_exp(*args, **kwargs):
+        calls.append("exp_bivector")
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(algebra.Spinor, "__init__", counted_init)
+    for module in (algebra, el2, el3):               # each binds the name
+        monkeypatch.setattr(module, "exp_bivector", counted_exp)
+    for scn, kind in ((el2_scene, "circle-trajectory"), (el3_scene, "clifford-parallels"),
+                      (el3_scene, "rotation-flow")):
+        counts = []
+        for samples in (8, 256):
+            calls.clear()
+            figures.build_figure(scn, kind, samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (kind, counts)

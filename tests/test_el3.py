@@ -326,6 +326,20 @@ def test_clifford_bivector_classification():
         el3.CliffordBivector(Multivector.basis(S, "e23"), el3.Family.POSITIVE)
 
 
+def test_clifford_bivector_constructor_uses_the_from_bivector_tolerance():
+    e23 = Multivector.basis(S, "e23")
+    exact = dual_I(e23) + e23                       # (I+1)e23
+    assert el3.CliffordBivector.from_bivector(exact).sign is el3.Family.POSITIVE
+    el3.CliffordBivector(exact, el3.Family.POSITIVE)
+    with pytest.raises(ValueError):
+        el3.CliffordBivector(exact, el3.Family.NEGATIVE)
+    off = exact + e23 * 1e-6                        # 7e-7 relative, above 1e-9
+    with pytest.raises(ValueError):
+        el3.CliffordBivector.from_bivector(off)
+    with pytest.raises(ValueError):
+        el3.CliffordBivector(off, el3.Family.POSITIVE)
+
+
 # ---------------------------------------------------------------------------
 # line-line metrics
 
