@@ -28,7 +28,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import Dict, Iterable, Mapping, Tuple, Union
+import sys
+from collections.abc import Mapping
+from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +79,9 @@ class Space(enum.Enum):
     EL1 = "el1"
     EL2 = "el2"
     EL3 = "el3"
+
+    # identity hash: every table lookup keyed by a space skips Enum.__hash__
+    __hash__ = object.__hash__
 
     @property
     def dim(self) -> int:
@@ -154,18 +159,20 @@ class _Tables:
         self.size = n
         idx = np.arange(n)
         self.grades = np.array([_popcount(i) for i in range(n)])
-        self.target = idx[:, None] ^ idx[None, :]
+        target = idx[:, None] ^ idx[None, :]
         sign = np.empty((n, n))
         for a in range(n):
             for b in range(n):
                 sign[a, b] = _merge_sign(a, b)
-        self.sign_gp = sign
         disjoint = (idx[:, None] & idx[None, :]) == 0
-        self.sign_outer = np.where(disjoint, sign, 0.0)
         gdiff = np.abs(self.grades[:, None] - self.grades[None, :])
-        self.sign_inner = np.where(
-            self.grades[self.target] == gdiff, sign, 0.0
-        )
+        # product tables, flattened: blade pair k = (left[k], right[k]) lands
+        # on slot target[k] with sign_<kind>[k] (0 where the kind drops it)
+        self.left, self.right = np.divmod(np.arange(n * n), n)
+        self.target = target.ravel()
+        self.sign_gp = sign.ravel()
+        self.sign_outer = np.where(disjoint, sign, 0.0).ravel()
+        self.sign_inner = np.where(self.grades[target] == gdiff, sign, 0.0).ravel()
         self.reverse_signs = np.where(self.grades % 4 >= 2, -1.0, 1.0)
         self.full = n - 1
         self.pseudo_sq = sign[self.full, self.full]  # I*I, a +/-1 scalar
@@ -240,13 +247,13 @@ class Multivector:
 
     @classmethod
     def zero(cls, space: Space) -> "Multivector":
-        return cls(space, np.zeros(space.size))
+        return _wrap(space, np.zeros(space.size))
 
     @classmethod
     def scalar(cls, space: Space, value: float) -> "Multivector":
         c = np.zeros(space.size)
         c[0] = value
-        return cls(space, c)
+        return _wrap(space, c)
 
     @classmethod
     def basis(cls, space: Space, name: str) -> "Multivector":
@@ -254,7 +261,7 @@ class Multivector:
         slot, sign = _blade_slot(space, name)
         c = np.zeros(space.size)
         c[slot] = sign
-        return cls(space, c)
+        return _wrap(space, c)
 
     @classmethod
     def from_terms(cls, space: Space, terms: Mapping[str, float]) -> "Multivector":
@@ -263,7 +270,7 @@ class Multivector:
         for name, value in terms.items():
             slot, sign = _blade_slot(space, name)
             c[slot] += sign * float(value)
-        return cls(space, c)
+        return _wrap(space, c)
 
     # -- introspection -----------------------------------------------------
 
@@ -281,13 +288,9 @@ class Multivector:
         return sign * float(self.coeffs[slot])
 
     def grades(self, tol: float = 0.0) -> Tuple[int, ...]:
-        t = _TABLES[self.space]
-        scale = float(np.max(np.abs(self.coeffs)))
-        cut = max(tol * scale, 0.0)
-        present = sorted({
-            int(t.grades[i]) for i in range(t.size) if abs(self.coeffs[i]) > cut
-        })
-        return tuple(present)
+        mag = np.abs(self.coeffs)
+        cut = max(tol * float(mag.max()), 0.0)
+        return tuple(sorted(set(_TABLES[self.space].grades[mag > cut].tolist())))
 
     def pure_grade(self, tol: float = 1e-12) -> int:
         """Grade of a homogeneous element; raises if mixed or zero."""
@@ -320,10 +323,10 @@ class Multivector:
         if isinstance(other, (int, float)):
             c = self.coeffs.copy()
             c[0] += other
-            return Multivector(self.space, c)
+            return _wrap(self.space, c)
         other = as_multivector(other)
         self._check(other)
-        return Multivector(self.space, self.coeffs + other.coeffs)
+        return _wrap(self.space, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
@@ -332,27 +335,27 @@ class Multivector:
             return self + (-other)
         other = as_multivector(other)
         self._check(other)
-        return Multivector(self.space, self.coeffs - other.coeffs)
+        return _wrap(self.space, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Multivector(self.space, -self.coeffs)
+        return _wrap(self.space, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self.space, self.coeffs * other)
+            return _wrap(self.space, self.coeffs * other)
         return geometric_product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self.space, other * self.coeffs)
+            return _wrap(self.space, other * self.coeffs)
         return geometric_product(other, self)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self.space, self.coeffs / other)
+            return _wrap(self.space, self.coeffs / other)
         return geometric_product(self, inverse_blade(as_multivector(other)))
 
     def __xor__(self, other):
@@ -366,6 +369,16 @@ class Multivector:
 
     def __invert__(self):
         return reverse(self)
+
+
+def _wrap(space: Space, arr: np.ndarray) -> Multivector:
+    """Multivector over an array the kernel has just allocated, frozen in place
+    without the public constructor's copy and shape check."""
+    arr.setflags(write=False)
+    mv = object.__new__(Multivector)
+    object.__setattr__(mv, "space", space)
+    object.__setattr__(mv, "coeffs", arr)
+    return mv
 
 
 def _blade_slot(space: Space, name: str) -> Tuple[int, float]:
@@ -398,10 +411,11 @@ def format_terms(a: Multivector, precision: int = 12) -> str:
 
 
 def _product(a: Multivector, b: Multivector, sign: np.ndarray) -> Multivector:
+    # sign * a_i * b_j is exactly sign * (a_i * b_j), as sign is 0 or +-1; the
+    # gathers are cheaper than a broadcast outer product at these sizes
     t = _TABLES[a.space]
-    weights = (sign * np.outer(a.coeffs, b.coeffs)).ravel()
-    out = np.bincount(t.target.ravel(), weights=weights, minlength=t.size)
-    return Multivector(a.space, out)
+    weights = sign * a.coeffs[t.left] * b.coeffs[t.right]
+    return _wrap(a.space, np.bincount(t.target, weights, t.size))
 
 
 def geometric_product(a: MultivectorLike, b: MultivectorLike) -> Multivector:
@@ -437,7 +451,7 @@ def j_map(a: MultivectorLike) -> Multivector:
     t = _TABLES[a.space]
     out = np.empty(t.size)
     out[t.j_index] = t.j_sign * a.coeffs
-    return Multivector(a.space, out)
+    return _wrap(a.space, out)
 
 
 def j_map_inverse(a: MultivectorLike) -> Multivector:
@@ -446,7 +460,7 @@ def j_map_inverse(a: MultivectorLike) -> Multivector:
     t = _TABLES[a.space]
     out = np.empty(t.size)
     out[t.j_index] = t.j_inv_sign * a.coeffs
-    return Multivector(a.space, out)
+    return _wrap(a.space, out)
 
 
 def dual_I(a: MultivectorLike) -> Multivector:
@@ -465,14 +479,14 @@ def reverse(a: MultivectorLike) -> Multivector:
     """Reversion: sign (-1)**(k(k-1)/2) on each grade k."""
     a = as_multivector(a)
     t = _TABLES[a.space]
-    return Multivector(a.space, t.reverse_signs * a.coeffs)
+    return _wrap(a.space, t.reverse_signs * a.coeffs)
 
 
 def grade(a: MultivectorLike, k: int) -> Multivector:
     """Projection onto grade k."""
     a = as_multivector(a)
     t = _TABLES[a.space]
-    return Multivector(a.space, np.where(t.grades == k, a.coeffs, 0.0))
+    return _wrap(a.space, np.where(t.grades == k, a.coeffs, 0.0))
 
 
 def coeff_norm(a: MultivectorLike) -> float:
@@ -558,7 +572,7 @@ def inverse_blade(a: MultivectorLike, eps: float = None) -> Multivector:
     scale = max(float(a.coeffs @ a.coeffs), 1e-300)
     residual = m.coeffs.copy()
     residual[0] = 0.0
-    if abs(s) <= eps * scale or np.linalg.norm(residual) > eps * scale:
+    if abs(s) <= eps * scale or math.sqrt(residual.dot(residual)) > eps * scale:
         raise NonInvertible(f"no blade inverse: a*~a = {format_terms(m)}")
     return rev * (1.0 / s)
 
@@ -571,7 +585,7 @@ def canonicalize_sign(a: MultivectorLike, eps: float = None) -> Multivector:
     """
     a = as_multivector(a)
     eps = epsilon() if eps is None else eps
-    scale = float(np.max(np.abs(a.coeffs)))
+    scale = float(np.abs(a.coeffs).max())
     if scale == 0.0:
         return a
     for i in range(a.space.size - 1, -1, -1):
@@ -597,12 +611,12 @@ class Spinor:
     def __init__(self, mv: Multivector):
         t = _TABLES[mv.space]
         odd = np.where(t.grades % 2 == 1, mv.coeffs, 0.0)
-        if np.max(np.abs(odd), initial=0.0) > self._UNIT_TOL:
+        if np.abs(odd).max() > self._UNIT_TOL:
             raise AlgebraError("spinor must be even-graded")
         unit = geometric_product(mv, reverse(mv))
         dev = unit.coeffs.copy()
         dev[0] -= 1.0
-        if np.linalg.norm(dev) > self._UNIT_TOL:
+        if math.sqrt(dev.dot(dev)) > self._UNIT_TOL:
             raise AlgebraError("spinor must satisfy S ~S = 1")
         object.__setattr__(self, "mv", mv)
 
@@ -659,7 +673,7 @@ def axis_split(b: Multivector, eps: float = None):
         for name in ("e23", "e31", "e12"):
             slot, _ = _blade_slot(b.space, name)
             keep[slot] = b.coeffs[slot]
-        b1 = Multivector(b.space, keep)
+        b1 = _wrap(b.space, keep)
         return b1, b - b1, True
     root = math.sqrt(disc)
     x1 = 0.5 * (s - root)                    # larger axis: more negative square
@@ -737,12 +751,8 @@ def to_coeff_dict(a: MultivectorLike) -> Dict[str, float]:
     """{"name": coefficient} in display names; exact zeros omitted."""
     a = as_multivector(a)
     t = _TABLES[a.space]
-    out: Dict[str, float] = {}
-    for i in range(t.size):
-        c = t.name_signs[i] * a.coeffs[i]
-        if c != 0.0:
-            out[t.names[i]] = float(c)
-    return out
+    signed = (t.name_signs * a.coeffs).tolist()
+    return {name: c for name, c in zip(t.names, signed) if c != 0.0}
 
 
 def to_json_dict(a: MultivectorLike) -> Dict[str, object]:
@@ -757,6 +767,8 @@ def from_coeff_dict(space: Space, coeffs: Mapping[str, float]) -> Multivector:
     for k, v in coeffs.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"coefficient of {k!r} must be a number")
+        if not abs(v) <= sys.float_info.max:
+            raise ValueError(f"coefficient of {k!r} must be a finite number")
     return Multivector.from_terms(space, coeffs)
 
 

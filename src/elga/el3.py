@@ -226,6 +226,17 @@ class CliffordFrame:
     minus_perp: Multivector
     plus_perp: Multivector
 
+    def parallel(self, family: Union[Family, str], phi: float, theta: float) -> Multivector:
+        """The unit-weight parallel of self.line at (phi, theta); see clifford_parallel."""
+        family = Family(family)
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError("theta must lie in [0, pi]")
+        if family is Family.POSITIVE:
+            omega = _omega(self.minus, self.minus_perp, phi, theta)
+            return self.line - (dual_I(omega) - omega) * math.cos(theta)
+        omega = _omega(self.plus, self.plus_perp, phi, theta)
+        return self.line - (dual_I(omega) + omega) * math.cos(theta)
+
 
 def _origin_line(direction: np.ndarray) -> Multivector:
     return Multivector.from_terms(_S, {
@@ -271,21 +282,10 @@ def clifford_parallel(
     The result is a line at constant distance |pi/2 - theta| from the
     input everywhere, oriented consistently with it.  A non-normalised
     input is normalised first and the parallel rescaled by the original
-    weight.
+    weight.  Parallels of one line can share its frame (CliffordFrame.parallel).
     """
-    family = Family(family)
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
     mv = _require_line(line)
-    weight = coeff_norm(mv)
-    frame = clifford_frame(mv)
-    if family is Family.POSITIVE:
-        omega = _omega(frame.minus, frame.minus_perp, phi, theta)
-        parallel = frame.line - (dual_I(omega) - omega) * math.cos(theta)
-    else:
-        omega = _omega(frame.plus, frame.plus_perp, phi, theta)
-        parallel = frame.line - (dual_I(omega) + omega) * math.cos(theta)
-    return parallel * weight
+    return clifford_frame(mv).parallel(family, phi, theta) * coeff_norm(mv)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import el3
-from .algebra import Multivector, Space, dual_I, normalized, orbit, tables
+from .algebra import Multivector, Space, coeff_norm, dual_I, normalized, orbit, tables
 from .scene import Scene, SceneError
 
 CHART_CUTOFF = 1e-6
@@ -147,11 +147,13 @@ def _figure_parallels(scene: Scene, samples: int) -> FigureData:
         kind="clifford-parallels",
         csv_header=("family", "index", "phi", "t", "e123", "e320", "e130", "e210"),
     )
-    _sample_line(fig, "line", normalized(line), samples, ("line", -1, math.nan))
+    unit = normalized(line)
+    _sample_line(fig, "line", unit, samples, ("line", -1, math.nan))
+    frame, weight = el3.clifford_frame(unit), coeff_norm(unit)
     for fam in families:
         for i in range(count):
             phi = 2.0 * math.pi * i / count
-            par = el3.clifford_parallel(normalized(line), fam, phi, theta)
+            par = frame.parallel(fam, phi, theta) * weight    # el3.clifford_parallel
             _sample_line(fig, f"{fam}.{i}", par, samples, (fam, i, phi))
     return fig
 

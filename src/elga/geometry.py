@@ -18,6 +18,7 @@ from .algebra import (
     MultivectorLike,
     NonSimpleBivector,
     Space,
+    _wrap,
     as_multivector,
     coeff_norm,
     commutator,
@@ -122,7 +123,7 @@ def reflect(b: MultivectorLike, a: MultivectorLike, topdown: bool = True) -> Mul
     b, a = as_multivector(b), as_multivector(a)
     flip = False
     if _grade(a) % 2:
-        b = Multivector(b.space, _PARITY[b.space] * b.coeffs)
+        b = _wrap(b.space, _PARITY[b.space] * b.coeffs)
         flip = not topdown
     reflected = geometric_product(geometric_product(a, b), inverse_blade(a))
     return -reflected if flip else reflected

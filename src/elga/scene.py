@@ -27,8 +27,10 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
-from typing import Callable, Dict, List, Literal, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Literal, Tuple, Union
 
 import numpy as np
 
@@ -174,6 +176,8 @@ class OpSpec:
 def _number(raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"expected a number, got {raw!r}")
+    if not abs(raw) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {raw!r}")
     return float(raw)
 
 
@@ -313,7 +317,45 @@ def evaluate_scene(scene: Scene) -> Dict[str, object]:
 
 
 def report_to_json(report: Mapping[str, object]) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """json.dumps(report, indent=2) + "\n" for a tree of dicts with string
+    keys, lists, str, int, float, bool and None, NaN and Infinity included;
+    written directly, as the stdlib encoder runs in pure Python when it indents."""
+    out: List[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_STR = json.encoder.encode_basestring_ascii    # json.dumps' ensure_ascii quoting
+
+
+def _write_json(x, newline: str, out: List[str]) -> None:
+    """Append x as json.dumps(x, indent=2) writes it; newline carries the indent."""
+    if isinstance(x, str):
+        out.append(_STR(x))
+    elif isinstance(x, float):
+        out.append(float.__repr__(x) if math.isfinite(x) else
+                   "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (dict, list, tuple)) and not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+    elif isinstance(x, dict):
+        inner = newline + "  "
+        for i, (k, v) in enumerate(x.items()):        # _STR raises on a non-str key
+            out += ("{" if i == 0 else ",", inner, _STR(k), ": ")
+            _write_json(v, inner, out)
+        out += (newline, "}")
+    elif isinstance(x, (list, tuple)):
+        inner = newline + "  "
+        for i, v in enumerate(x):
+            out += ("[" if i == 0 else ",", inner)
+            _write_json(v, inner, out)
+        out += (newline, "]")
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} to a report")
 
 
 def round_report(obj, digits: int = 12):

@@ -40,13 +40,15 @@ from elga.algebra import (
     to_coeff_dict,
     to_json_dict,
 )
-from elga.algebra import _parse_indices
+from elga import geometry
+from elga.algebra import _parse_indices, axis_split
 from helpers import (
     assert_mv_close,
     assert_mv_close_up_to_sign,
     bits_of,
     blade_product_bruteforce,
     exp_power_series,
+    rand_blade_coeffs,
     rand_bivector_el3,
     rand_line_el3,
     rand_mv,
@@ -133,6 +135,70 @@ def test_space_mismatch_rejected():
         geometric_product(basis(Space.EL1, "e0"), basis(Space.EL2, "e0"))
     with pytest.raises(SpaceMismatch):
         outer(basis(Space.EL1, "e0"), basis(Space.EL3, "e0"))
+
+
+def _outer_product_formula(space):
+    """Target slots and sign tables of the three products in np.outer layout,
+    from the transposition-counting oracle."""
+    idx = np.arange(space.size)
+    target = idx[:, None] ^ idx
+    gp = np.array([[blade_product_bruteforce(bits_of(i), bits_of(j))[0] for j in idx]
+                   for i in idx], dtype=float)
+    grades = np.array([len(bits_of(i)) for i in idx])
+    signs = {
+        geometric_product: gp,
+        outer: np.where((idx[:, None] & idx) == 0, gp, 0.0),
+        inner: np.where(grades[target] == abs(grades[:, None] - grades), gp, 0.0),
+    }
+    return target, signs
+
+
+_OUTER_FORMULA = {space: _outer_product_formula(space) for space in SPACES}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_equal_the_outer_product_formula_bit_for_bit(data):
+    space = data.draw(st.sampled_from(SPACES))
+    coeffs = st.lists(st.floats(-1e3, 1e3), min_size=space.size, max_size=space.size)
+    a, b = (Multivector(space, data.draw(coeffs)) for _ in range(2))
+    target, signs = _OUTER_FORMULA[space]
+    for product, sign in signs.items():
+        old = np.bincount(target.ravel(), weights=(sign * np.outer(a.coeffs, b.coeffs)).ravel(),
+                          minlength=space.size)
+        assert product(a, b).coeffs.tobytes() == old.tobytes(), product.__name__
+
+
+def test_op_results_are_frozen_and_share_no_memory(rng):
+    for space in SPACES:
+        a, b = rand_mv(space, rng), rand_mv(space, rng)
+        results = {
+            "geometric_product": geometric_product(a, b), "outer": outer(a, b),
+            "inner": inner(a, b), "commutator": commutator(a, b),
+            "regressive": regressive(a, b), "j_map": j_map(a),
+            "j_map_inverse": j_map_inverse(a), "reverse": reverse(a), "grade": grade(a, 1),
+            "a + b": a + b, "a + 1": a + 1, "1 + a": 1 + a, "a - b": a - b, "a - 1": a - 1,
+            "1 - a": 1 - a, "-a": -a, "2a": a * 2.0, "a2": 2.0 * a, "a / 2": a / 2.0,
+            "zero": Multivector.zero(space), "scalar": Multivector.scalar(space, 2.0),
+            "basis": Multivector.basis(space, "e1"),
+            "from_terms": Multivector.from_terms(space, {"e0": 1.0}),
+            "reflect": geometry.reflect(b, rand_blade_coeffs(space, 1, rng)),
+        }
+        if space is Space.EL3:
+            b1, b2, _ = axis_split(rand_bivector_el3(rng))
+            results.update({"axis_split b1": b1, "axis_split b2": b2})
+        for name, r in results.items():
+            assert not r.coeffs.flags.writeable, (space, name)
+            assert not np.shares_memory(r.coeffs, a.coeffs), (space, name)
+            assert not np.shares_memory(r.coeffs, b.coeffs), (space, name)
+
+
+def test_public_constructor_copies_its_input():
+    arr = np.arange(4.0)
+    mv = Multivector(Space.EL1, arr)
+    assert not np.shares_memory(mv.coeffs, arr) and not mv.coeffs.flags.writeable
+    arr[0] = 9.0
+    assert mv.coeffs[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +553,13 @@ def test_json_unknown_keys_rejected():
         from_coeff_dict(Space.EL2, {"e7": 1.0})
     with pytest.raises(ValueError):
         from_coeff_dict(Space.EL2, {"e0": "three"})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-1e400"])
+def test_json_non_finite_coefficient_rejected_by_name(value):
+    with pytest.raises(ValueError, match="'e20' must be a finite number"):
+        from_coeff_dict(Space.EL2, {"e12": 1.0, "e20": value})
 
 
 def test_json_omitted_keys_are_zero():

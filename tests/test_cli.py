@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elga import algebra, el1, el2, el3
 from elga.algebra import Multivector, Space, exp_bivector, from_json_dict, normalized
@@ -144,6 +146,20 @@ def test_cli_eval_exit_1_on_bad_scene(tmp_path):
     result = run_cli("eval", str(bad))
     assert result.returncode == 1
     assert "plücker residual" in result.stderr
+
+
+@pytest.mark.parametrize("role, value", [
+    ("point", math.nan), ("any", math.nan), ("any", math.inf), ("any", -math.inf)])
+def test_cli_eval_exit_1_on_non_finite_coefficient(tmp_path, role, value):
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(scene_dict(entities={
+        "P": {"role": role, "coeffs": {"e12": 1, "e20": value}},
+        "Q": {"role": "point", "coeffs": {"e12": 1, "e01": 2}},
+    })))
+    result = run_cli("eval", str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "entity 'P'" in result.stderr and "'e20' must be a finite number" in result.stderr
 
 
 def test_cli_eval_exit_1_on_unparseable(tmp_path):
@@ -450,7 +466,10 @@ def test_names_used_by_readme_and_bench_resolve():
     ("el3", {"L": {"role": "line", "coeffs": {"e23": 1}},
              "P": {"role": "point", "coeffs": {"e123": 1}}},
      {"name": "ptp", "op": "parallel_through_point", "args": ["L", "P"]}, 2),
-], ids=["bad-family", "string-angle", "non-clifford-xi"])
+    ("el2", {"P": {"role": "point", "coeffs": {"e12": 1}},
+             "R": {"role": "point", "coeffs": {"e12": 1, "e20": 0.5}}},
+     {"name": "rot", "op": "rotate", "args": ["P", "R", math.nan]}, 1),
+], ids=["bad-family", "string-angle", "non-clifford-xi", "nan-angle"])
 def test_bad_query_arg_exits_cleanly(tmp_path, space, entities, query, code):
     path = tmp_path / "bad_arg.json"
     path.write_text(json.dumps({"space": space, "entities": entities, "queries": [query]}))
@@ -540,3 +559,60 @@ def test_figures_make_no_spinor_per_sample(monkeypatch):
             figures.build_figure(scn, kind, samples)
             counts.append(len(calls))
         assert counts[0] == counts[1], (kind, counts)
+
+
+def test_clifford_parallels_figure_builds_one_frame(monkeypatch):
+    scn = load_scene_file(str(SCENES / "paper_el3.json"))
+    assert scn.figure["family"] == "both" and scn.figure["parallels"] == 32
+    calls = []
+    frame = el3.clifford_frame
+
+    def counted(line):
+        calls.append(line)
+        return frame(line)
+
+    monkeypatch.setattr(el3, "clifford_frame", counted)
+    fig = figures.build_figure(scn, "clifford-parallels", 4)
+    assert len({tuple(row[:2]) for row in fig.csv_rows}) == 1 + 2 * 32
+    assert len(calls) == 1
+
+
+def test_eval_path_makes_no_copying_multivector(monkeypatch):
+    # the copying public constructor is for callers' own arrays; the kernel
+    # freezes what it allocates without a copy
+    calls = []
+    init = Multivector.__init__
+
+    def counted(self, space, coeffs):
+        calls.append(space)
+        init(self, space, coeffs)
+
+    monkeypatch.setattr(Multivector, "__init__", counted)
+    for n in (1, 2, 3):
+        report_to_json(evaluate_scene(load_scene_file(str(SCENES / f"paper_el{n}.json"))))
+    assert calls == []
+    Multivector(Space.EL1, np.zeros(4))
+    assert calls == [Space.EL1]
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"\"\n\t\u2603\x00": [-0.0, 1e-300, math.nan, -math.inf], "": {}, "x": [], "é": None})
+@given(json_trees)
+def test_report_writer_matches_json_dumps(tree):
+    assert report_to_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_report_writer_matches_json_dumps_on_bundled_reports():
+    for n in (1, 2, 3):
+        report = evaluate_scene(load_scene_file(str(SCENES / f"paper_el{n}.json")))
+        text = report_to_json(report)
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert text == (SCENES / f"paper_el{n}.report.json").read_text(encoding="utf-8")
