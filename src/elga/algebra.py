@@ -25,6 +25,7 @@ modules expect.  Note I**2 = -1 in El1 and El2, +1 in El3.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import itertools
 import math
@@ -34,23 +35,31 @@ from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
-# Library-wide tolerance for simplicity / invertibility / degeneracy
-# predicates.  Test comparisons are tighter (1e-12, or 1e-10 for derived
-# quantities); this value only gates structural decisions.
-_EPSILON = 1e-9
+# Structural tolerance for simplicity / invertibility / degeneracy
+# predicates, local to each thread.  Test comparisons are tighter (1e-12,
+# or 1e-10 for derived quantities); this value only gates structural decisions.
+_TOLERANCE = contextvars.ContextVar("tolerance", default=1e-9)
 
 
 def epsilon() -> float:
-    """Current structural tolerance (read dynamically, see set_epsilon)."""
-    return _EPSILON
+    """Current structural tolerance (set with ``tolerance``)."""
+    return _TOLERANCE.get()
 
 
-def set_epsilon(value: float) -> None:
-    """Override the structural tolerance process-wide (CLI --tolerance)."""
-    global _EPSILON
-    if not value > 0:
-        raise ValueError("tolerance must be positive")
-    _EPSILON = float(value)
+class tolerance:
+    """Context manager: its block runs at tolerance ``value`` (checked at the call)."""
+
+    def __init__(self, value: float):
+        value = float(value)
+        if not 0.0 < value < math.inf:
+            raise ValueError("tolerance must be a finite positive number")
+        self._value = value
+
+    def __enter__(self) -> None:
+        self._token = _TOLERANCE.set(self._value)
+
+    def __exit__(self, *exc) -> None:
+        _TOLERANCE.reset(self._token)
 
 
 class AlgebraError(Exception):
@@ -287,14 +296,14 @@ class Multivector:
         slot, sign = _blade_slot(self.space, name)
         return sign * float(self.coeffs[slot])
 
-    def grades(self, tol: float = 0.0) -> Tuple[int, ...]:
+    def grades(self) -> Tuple[int, ...]:
         mag = np.abs(self.coeffs)
-        cut = max(tol * float(mag.max()), 0.0)
+        cut = 1e-12 * float(mag.max())     # below: rounding left by cancelled grades
         return tuple(sorted(set(_TABLES[self.space].grades[mag > cut].tolist())))
 
-    def pure_grade(self, tol: float = 1e-12) -> int:
+    def pure_grade(self) -> int:
         """Grade of a homogeneous element; raises if mixed or zero."""
-        g = self.grades(tol)
+        g = self.grades()
         if len(g) != 1:
             raise AlgebraError(f"element is not of pure grade (grades {g})")
         return g[0]
@@ -509,27 +518,25 @@ def plucker_residual(a: MultivectorLike) -> float:
     return float(outer(a, a).coeffs[-1] / 2.0)
 
 
-def is_simple_bivector(a: MultivectorLike, eps: float = None) -> bool:
+def is_simple_bivector(a: MultivectorLike) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
     a = as_multivector(a)
-    eps = epsilon() if eps is None else eps
     n2 = float(a.coeffs @ a.coeffs)
-    return abs(plucker_residual(a)) <= eps * max(n2, 1e-300)
+    return abs(plucker_residual(a)) <= epsilon() * max(n2, 1e-300)
 
 
-def is_clifford_bivector(a: MultivectorLike, eps: float = None) -> bool:
+def is_clifford_bivector(a: MultivectorLike) -> bool:
     """True when (a.a)**2 equals (a v a)**2 within tolerance (El3 only)."""
     a = as_multivector(a)
     if a.space is not Space.EL3:
         return False
-    eps = epsilon() if eps is None else eps
     s = inner(a, a).scalar_part
     v = regressive(a, a).scalar_part
-    return abs(s * s - v * v) <= eps * max(s * s, 1e-300)
+    return abs(s * s - v * v) <= epsilon() * max(s * s, 1e-300)
 
 
-def norm(a: MultivectorLike, eps: float = None) -> float:
-    """Blade/versor norm sqrt(|<a ~a>_0|).
+def norm(a: MultivectorLike) -> float:
+    """Blade/versor norm sqrt(<a ~a>_0).
 
     Equals the Euclidean coefficient norm on blades.  A grade-2 element of
     El3 must satisfy the Plucker condition or be a Clifford bivector;
@@ -538,34 +545,38 @@ def norm(a: MultivectorLike, eps: float = None) -> float:
     """
     a = as_multivector(a)
     if a.space is Space.EL3:
-        g = a.grades(1e-12)
+        g = a.grades()
         if g == (2,) and not (
-            is_simple_bivector(a, eps) or is_clifford_bivector(a, eps)
+            is_simple_bivector(a) or is_clifford_bivector(a)
         ):
             raise NonSimpleBivector(
                 f"norm undefined: plucker residual {plucker_residual(a):.3e}"
             )
-    m = geometric_product(a, reverse(a)).scalar_part
-    return math.sqrt(abs(m))
+    # <a ~a>_0 is the sum of squares, in the product's slot-0 order for the
+    # same bits (sum() is compensated from Python 3.12, dot() sums in lanes)
+    m = 0.0
+    for c in a.coeffs.tolist():
+        m += c * c
+    return math.sqrt(m)
 
 
-def normalized(a: MultivectorLike, eps: float = None) -> Multivector:
+def normalized(a: MultivectorLike) -> Multivector:
     """a / norm(a); raises ZeroInput below tolerance."""
     a = as_multivector(a)
-    n = norm(a, eps)
-    if n <= (epsilon() if eps is None else eps):
+    n = norm(a)
+    if n <= epsilon():
         raise ZeroInput("cannot normalise a (near-)zero element")
     return a * (1.0 / n)
 
 
-def inverse_blade(a: MultivectorLike, eps: float = None) -> Multivector:
+def inverse_blade(a: MultivectorLike) -> Multivector:
     """Inverse of a blade or versor: ~a / <a ~a>_0.
 
     Raises NonInvertible when a * ~a is not a nonzero scalar (for example
     1 + I in El3, a zero divisor).
     """
     a = as_multivector(a)
-    eps = epsilon() if eps is None else eps
+    eps = epsilon()
     rev = reverse(a)
     m = geometric_product(a, rev)
     s = m.scalar_part
@@ -577,14 +588,14 @@ def inverse_blade(a: MultivectorLike, eps: float = None) -> Multivector:
     return rev * (1.0 / s)
 
 
-def canonicalize_sign(a: MultivectorLike, eps: float = None) -> Multivector:
+def canonicalize_sign(a: MultivectorLike) -> Multivector:
     """Flip sign so the highest-index non-negligible coefficient is positive.
 
     Only for equality-up-to-sign assertions; operations never apply this
     silently, since orientation is meaningful.
     """
     a = as_multivector(a)
-    eps = epsilon() if eps is None else eps
+    eps = epsilon()
     scale = float(np.abs(a.coeffs).max())
     if scale == 0.0:
         return a
@@ -651,7 +662,7 @@ def _exp_simple(b: Multivector) -> Multivector:
     return Multivector.scalar(b.space, math.cos(theta)) + b * (math.sin(theta) / theta)
 
 
-def axis_split(b: Multivector, eps: float = None):
+def axis_split(b: Multivector):
     """Split an El3 bivector into complementary commuting parts.
 
     Returns (b1, b2, degenerate).  b1 is the larger axis (simple input
@@ -659,7 +670,7 @@ def axis_split(b: Multivector, eps: float = None):
     unique, the canonical split into an origin line and its polar line is
     returned with degenerate = True.
     """
-    eps = epsilon() if eps is None else eps
+    eps = epsilon()
     s = inner(b, b).scalar_part              # -|coeffs|^2, <= 0
     v = regressive(b, b).scalar_part
     if s == 0.0:
@@ -686,7 +697,7 @@ def axis_split(b: Multivector, eps: float = None):
     return b1, b - b1, False
 
 
-def exp_bivector(b: MultivectorLike, eps: float = None) -> Spinor:
+def exp_bivector(b: MultivectorLike) -> Spinor:
     """Exponential of a grade-2 element, as a unit spinor.
 
     In El1/El2 the square of a bivector is a scalar and the closed
@@ -694,11 +705,11 @@ def exp_bivector(b: MultivectorLike, eps: float = None) -> Spinor:
     commuting axes first and the factors multiplied.
     """
     b = as_multivector(b)
-    g = b.grades(1e-12)
+    g = b.grades()
     if g not in ((), (2,)):
         raise AlgebraError(f"exp_bivector needs a grade-2 argument, got grades {g}")
     if b.space is Space.EL3:
-        b1, b2, _ = axis_split(b, eps)
+        b1, b2, _ = axis_split(b)
         value = geometric_product(_exp_simple(b1), _exp_simple(b2))
     else:
         value = _exp_simple(b)
@@ -711,7 +722,7 @@ _UNIT_ROUNDING = 16 * np.finfo(float).eps
 
 
 def orbit(
-    b: MultivectorLike, x: MultivectorLike, eps: float = None
+    b: MultivectorLike, x: MultivectorLike
 ) -> Tuple[Multivector, Multivector, Multivector]:
     """Closed form (A0, Ac, As) of the orbit of x under exp(-t/2 * b).
 
@@ -725,14 +736,14 @@ def orbit(
     """
     b, x = as_multivector(b), as_multivector(x)
     b._check(x)
-    eps = epsilon() if eps is None else eps
-    g = b.grades(1e-12)
+    eps = epsilon()
+    g = b.grades()
     if g != (2,):
         raise AlgebraError(f"orbit generator must be grade 2, got grades {g}")
     square = inner(b, b).scalar_part
     if abs(square + 1.0) > max(eps, _UNIT_ROUNDING):
         raise AlgebraError(f"orbit generator must be unit: b.b = {square!r}, not -1")
-    if not is_simple_bivector(b, eps):
+    if not is_simple_bivector(b):
         raise NonSimpleBivector(
             f"orbit generator must be simple: plucker residual "
             f"{plucker_residual(b):.3e} exceeds tolerance {eps:.1g}"

@@ -14,6 +14,7 @@ extension or none).  Exit codes: 0 success, 1 parse/validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -44,12 +45,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tolerance is not None:
-        try:
-            algebra.set_epsilon(args.tolerance)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    try:
+        scope = (contextlib.nullcontext() if args.tolerance is None
+                 else algebra.tolerance(args.tolerance))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    with scope:
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         scn = scene_mod.load_scene_file(args.scene)
     except scene_mod.SceneError as e:

@@ -230,7 +230,7 @@ class CircleKind(enum.Enum):
     LINE = "line"
 
 
-def classify_circle(r: MultivectorLike, p: MultivectorLike, eps: float = None) -> CircleKind:
+def classify_circle(r: MultivectorLike, p: MultivectorLike) -> CircleKind:
     """Classify the circle through P centred at R by its chart appearance.
 
     The e12 coefficient along the trajectory is exactly
@@ -238,9 +238,9 @@ def classify_circle(r: MultivectorLike, p: MultivectorLike, eps: float = None) -
     (algebra.orbit); the number of roots in [0, 2*pi) follows from
     comparing |c| with hypot(a, b): none -> elliptic, one (tangent) ->
     parabolic, two -> hyperbolic.  A radius of pi/2 is the straight-line
-    case.  P within eps of R (zero radius) counts as elliptic.
+    case.  P within the tolerance of R (zero radius) counts as elliptic.
     """
-    eps = epsilon() if eps is None else eps
+    eps = epsilon()
     rn = normalized(as_multivector(r))
     pn = normalized(as_multivector(p))
     radius = distance_pp(rn, pn)
@@ -248,7 +248,7 @@ def classify_circle(r: MultivectorLike, p: MultivectorLike, eps: float = None) -
         return CircleKind.LINE
     if radius <= eps:
         return CircleKind.ELLIPTIC
-    c, a, b = (term.coeff("e12") for term in orbit(rn, pn, eps))
+    c, a, b = (term.coeff("e12") for term in orbit(rn, pn))
     amp = math.hypot(a, b)
     if abs(abs(c) - amp) <= eps:
         return CircleKind.PARABOLIC

@@ -197,13 +197,13 @@ class AxisDecomposition:
     degenerate: bool
 
 
-def axis_decompose(b: MultivectorLike, eps: float = None) -> AxisDecomposition:
+def axis_decompose(b: MultivectorLike) -> AxisDecomposition:
     """Split a grade-2 element into its complementary axes."""
     mv = as_multivector(b)
-    if coeff_norm(mv) <= (epsilon() if eps is None else eps):
+    if coeff_norm(mv) <= epsilon():
         raise ValueError("axis_decompose requires a nonzero bivector")
     mv = geometry.check_blade(mv, _S, "bivector", "axis_decompose")
-    b1, b2, degenerate = axis_split(mv, eps)
+    b1, b2, degenerate = axis_split(mv)
     return AxisDecomposition(b1, b2, degenerate)
 
 
@@ -366,7 +366,7 @@ class LineLineMetrics:
 
 
 def line_line_metrics(
-    line: MultivectorLike, other: MultivectorLike, eps: float = None
+    line: MultivectorLike, other: MultivectorLike
 ) -> LineLineMetrics:
     """Distance, angle and relation of two lines.
 
@@ -375,7 +375,7 @@ def line_line_metrics(
     cos alpha = -u / cos r.  The separations satisfy
     cos r1 cos r2 = |u| and sin r1 sin r2 = |v|.
     """
-    eps = epsilon() if eps is None else eps
+    eps = epsilon()
     ln = normalized(_require_line(line))
     on = normalized(_require_line(other, "other line"))
     u = inner(ln, on).scalar_part
@@ -436,12 +436,12 @@ def reject_by_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
     return geometry.reject(b, ln)
 
 
-def _line_line_pieces(phi: Multivector, line: Multivector, eps):
+def _line_line_pieces(phi: Multivector, line: Multivector):
     comm = commutator(phi, line)
-    if coeff_norm(comm) <= (epsilon() if eps is None else eps):
+    if coeff_norm(comm) <= epsilon():
         zero = Multivector.zero(_S)
         return zero, zero
-    b1, b2, degenerate = axis_split(comm, eps)
+    b1, b2, degenerate = axis_split(comm)
     if degenerate:
         raise DegenerateAxes(
             "commutator axes are not unique (Clifford-parallel lines)"
@@ -450,7 +450,7 @@ def _line_line_pieces(phi: Multivector, line: Multivector, eps):
 
 
 def project_line_on_line(
-    phi: MultivectorLike, line: MultivectorLike, kind: Literal[1, 2], eps: float = None
+    phi: MultivectorLike, line: MultivectorLike, kind: Literal[1, 2]
 ) -> Multivector:
     """proj_k(Phi; L): (Phi.L + (Phi x L)_k) L**-1 with k in {1, 2}.
 
@@ -462,13 +462,13 @@ def project_line_on_line(
         raise ValueError("kind must be 1 or 2")
     pn = _require_line(phi, "phi")
     ln = _require_line(line)
-    b1, b2 = _line_line_pieces(pn, ln, eps)
+    b1, b2 = _line_line_pieces(pn, ln)
     axis = b1 if kind == 1 else b2
     return geometric_product(inner(pn, ln) + axis, inverse_blade(ln))
 
 
 def reject_line_by_line(
-    phi: MultivectorLike, line: MultivectorLike, kind: Literal[1, 2], eps: float = None
+    phi: MultivectorLike, line: MultivectorLike, kind: Literal[1, 2]
 ) -> Multivector:
     """rej_k(Phi; L): ((Phi x L)_j + Phi^L) L**-1 with the opposite axis j.
 
@@ -478,7 +478,7 @@ def reject_line_by_line(
         raise ValueError("kind must be 1 or 2")
     pn = _require_line(phi, "phi")
     ln = _require_line(line)
-    b1, b2 = _line_line_pieces(pn, ln, eps)
+    b1, b2 = _line_line_pieces(pn, ln)
     axis = b2 if kind == 1 else b1
     return geometric_product(axis + outer(pn, ln), inverse_blade(ln))
 

@@ -136,6 +136,8 @@ def _figure_parallels(scene: Scene, samples: int) -> FigureData:
         theta = float(params["theta"])
     except (KeyError, TypeError, ValueError):
         raise SceneError("clifford-parallels needs a numeric figure.theta")
+    if not 0.0 <= theta <= math.pi:
+        raise SceneError("figure.theta must be a finite number in [0, pi]")
     count = params.get("parallels", 32)
     if not isinstance(count, int) or count < 1:
         raise SceneError("figure.parallels must be a positive integer")

@@ -231,9 +231,9 @@ _OPS = {
 
 
 def _op_spec(func: Callable) -> OpSpec:
-    """Arg kinds from the annotations; None-defaulted tolerance overrides are no scene args."""
+    """Arg kinds from the parameter annotations: every parameter is a scene arg."""
     params = inspect.signature(func, eval_str=True).parameters.values()
-    return OpSpec(func, tuple(_ARG_KINDS[p.annotation] for p in params if p.default is not None))
+    return OpSpec(func, tuple(_ARG_KINDS[p.annotation] for p in params))
 
 
 _REGISTRY: Dict[Space, Dict[str, OpSpec]] = {}

@@ -2,6 +2,7 @@
 inverses, exponentials, JSON round-trips."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from elga.algebra import (
     to_coeff_dict,
     to_json_dict,
 )
-from elga import geometry
+from elga import algebra, geometry
 from elga.algebra import _parse_indices, axis_split
 from helpers import (
     assert_mv_close,
@@ -57,6 +58,8 @@ from helpers import (
 )
 
 SPACES = (Space.EL1, Space.EL2, Space.EL3)
+# Plucker residual 1e-4 against squared norm 2: simple at 1e-3, not at 1e-9.
+NEAR_LINE = Multivector.from_terms(Space.EL3, {"e10": 1, "e23": 1e-4, "e20": 1})
 
 
 def basis(space, name):
@@ -467,7 +470,8 @@ def test_orbit_matches_per_sample_sandwich(kind, seed, t):
 
 def test_orbit_rejects_bad_generators(rng):
     for _ in range(50):     # b.b of a normalised point is -1 only up to rounding
-        orbit(rand_point(Space.EL2, rng), rand_point(Space.EL2, rng), eps=1e-17)
+        with algebra.tolerance(1e-17):
+            orbit(rand_point(Space.EL2, rng), rand_point(Space.EL2, rng))
     x = Multivector.basis(Space.EL3, "e123")
     with pytest.raises(AlgebraError, match="grade 2"):
         orbit(Multivector.basis(Space.EL3, "e1"), x)
@@ -577,14 +581,60 @@ def test_normalize_zero_raises():
 
 def test_tolerance_is_read_only_through_epsilon():
     import elga
-    from elga import algebra
     assert not hasattr(elga, "EPSILON") and "EPSILON" not in elga.__all__
-    near = Multivector.from_terms(Space.EL3, {"e10": 1, "e23": 1e-4, "e20": 1})
     before = algebra.epsilon()
-    assert not algebra.is_simple_bivector(near)
-    try:
-        algebra.set_epsilon(1e-3)
+    assert not algebra.is_simple_bivector(NEAR_LINE)
+    with algebra.tolerance(1e-3):
         assert algebra.epsilon() == 1e-3
-        assert algebra.is_simple_bivector(near)
-    finally:
-        algebra.set_epsilon(before)
+        assert algebra.is_simple_bivector(NEAR_LINE)
+    assert algebra.epsilon() == before
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_is_checked_at_the_call(value):
+    with pytest.raises(ValueError, match="finite positive"):
+        algebra.tolerance(value)           # before any block is entered
+
+
+def test_tolerance_is_local_to_each_thread():
+    rounds = 300
+    barrier = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def run(value):
+        answers = []
+        with algebra.tolerance(value):
+            for _ in range(rounds):
+                barrier.wait()
+                answers.append((algebra.epsilon(), algebra.is_simple_bivector(NEAR_LINE)))
+        seen[value] = answers
+
+    threads = [threading.Thread(target=run, args=(v,)) for v in (1e-3, 1e-12)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert seen[1e-3] == [(1e-3, True)] * rounds
+    assert seen[1e-12] == [(1e-12, False)] * rounds
+    fresh = []
+    with algebra.tolerance(1e-3):
+        worker = threading.Thread(target=lambda: fresh.append(algebra.epsilon()))
+        worker.start()
+        worker.join(timeout=60)
+    assert fresh == [1e-9]
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_norm_sum_of_squares_equals_the_product_bit_for_bit(space, rng):
+    scales = (0.0, 1e-300, 1e-160, 1.0, 1e160, 1e300)
+    for i in range(1000):    # one scale for all coefficients, or one for each
+        c = rng.standard_normal(space.size) * rng.choice(scales, space.size if i % 2 else None)
+        a = Multivector(space, c)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = math.sqrt(geometric_product(a, reverse(a)).scalar_part)
+        if space is Space.EL3 and a.grades() == (2,):
+            continue        # norm refuses non-simple bivectors
+        got = norm(a)
+        assert got == want, (c, got, want)
+    assert norm(Multivector.zero(space)) == 0.0

@@ -1,6 +1,7 @@
 """CLI and scene layer: evaluation, validation exits, figures, round-trips."""
 
 import csv
+import inspect
 import json
 import math
 import re
@@ -195,6 +196,20 @@ def test_cli_tolerance_override(tmp_path):
     assert run_cli("eval", str(scene), "--tolerance", "1e-2").returncode == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_tolerance_must_be_finite_and_positive(value):
+    result = run_cli("eval", str(SCENES / "paper_el1.json"), "--tolerance", value)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "tolerance must be a finite positive number" in result.stderr
+
+
+def test_cli_tolerance_does_not_outlive_the_call(capsys):
+    from elga import cli
+    assert cli.main(["eval", str(SCENES / "paper_el3.json"), "--tolerance", "1e-2"]) == 0
+    assert algebra.epsilon() == 1e-9
+
+
 def test_report_multivectors_round_trip():
     scene = load_scene_file(str(SCENES / "paper_el2.json"))
     report = evaluate_scene(scene)
@@ -289,6 +304,18 @@ def test_figure_clifford_bivector_axis_exit_2(tmp_path):
                      "--out", str(tmp_path / "fig"))
     assert result.returncode == 2
     assert "must be simple" in result.stderr
+
+
+@pytest.mark.parametrize("theta", [4.0, -0.1, math.nan])
+def test_figure_theta_outside_range_exit_1(tmp_path, theta):
+    data = json.loads((SCENES / "paper_el3.json").read_text())
+    data["figure"]["theta"] = theta
+    scene = tmp_path / "theta.json"
+    scene.write_text(json.dumps(data))
+    result = run_cli("figure", str(scene), "--kind", "clifford-parallels",
+                     "--out", str(tmp_path / "fig"))
+    assert result.returncode == 1
+    assert "figure.theta" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_figure_writes_svg_and_csv(tmp_path):
@@ -439,6 +466,15 @@ def test_registry_derived_from_annotations_matches_op_table():
     derived = {space.value: {op: spec.arg_kinds for op, spec in op_registry(space).items()}
                for space in Space}
     assert derived == OP_TABLE
+
+
+def test_every_op_parameter_is_a_scene_arg():
+    # a per-call override (say a tolerance) would be a parameter no scene can set
+    for space in Space:
+        for op, spec in op_registry(space).items():
+            params = inspect.signature(spec.func).parameters
+            assert len(spec.arg_kinds) == len(params), f"{space.value}.{op}"
+    assert not hasattr(algebra, "set_epsilon") and not hasattr(algebra, "_EPSILON")
 
 
 def test_names_used_by_readme_and_bench_resolve():
