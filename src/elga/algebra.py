@@ -6,9 +6,20 @@ is what makes the resulting geometry elliptic rather than Euclidean.
 
 Storage convention
 ------------------
-Coefficients live in a dense float array of length 2**dim indexed by the
+Coefficients live in a tuple of 2**dim floats indexed by the
 binary-subset order: bit i of the index corresponds to e_i, so in Cl(3)
 index 0b101 holds the coefficient of e0e2 = e02 (ascending indices).
+A grade mask rides along: bit k is set when grade k may be nonzero, and
+every slot of another grade holds +-0.  ``Multivector.coeffs`` returns a
+fresh read-only numpy array.
+
+Products
+--------
+geometric_product, outer, inner and regressive run straight-line code
+generated from the sign tables for each (space, product, mask of a,
+mask of b) on first use, and equal the dense sums bit for bit (see
+_generate).  The code cache is process-wide but depends on nothing else,
+the tolerance included, so sharing it across threads is safe.
 
 Display and JSON names follow the dual-coordinate convention of the
 geometry modules (e20 = -e02, e31 = -e13, e320 = -e023, e210 = -e012, ...)
@@ -29,6 +40,7 @@ import contextvars
 import enum
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Mapping
 from typing import Dict, Iterable, Tuple, Union
@@ -159,45 +171,42 @@ def _parse_indices(name: str, dim: int) -> Tuple[Tuple[int, ...], float]:
 
 
 class _Tables:
-    """Precomputed product/duality tables for one space."""
+    """Sign, grade and name tables of one space."""
 
     def __init__(self, space: Space):
         dim = space.dim
         n = space.size
         self.dim = dim
         self.size = n
-        idx = np.arange(n)
-        self.grades = np.array([_popcount(i) for i in range(n)])
-        target = idx[:, None] ^ idx[None, :]
-        sign = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                sign[a, b] = _merge_sign(a, b)
-        disjoint = (idx[:, None] & idx[None, :]) == 0
-        gdiff = np.abs(self.grades[:, None] - self.grades[None, :])
-        # product tables, flattened: blade pair k = (left[k], right[k]) lands
-        # on slot target[k] with sign_<kind>[k] (0 where the kind drops it)
-        self.left, self.right = np.divmod(np.arange(n * n), n)
-        self.target = target.ravel()
-        self.sign_gp = sign.ravel()
-        self.sign_outer = np.where(disjoint, sign, 0.0).ravel()
-        self.sign_inner = np.where(self.grades[target] == gdiff, sign, 0.0).ravel()
-        self.reverse_signs = np.where(self.grades % 4 >= 2, -1.0, 1.0)
         self.full = n - 1
-        self.pseudo_sq = sign[self.full, self.full]  # I*I, a +/-1 scalar
-        # j_map(e_A) = e_A * I^-1 ; j_inv(e_A) = e_A * I
-        self.j_index = idx ^ self.full
-        self.j_inv_sign = sign[idx, self.full]
-        self.j_sign = self.j_inv_sign * self.pseudo_sq
+        self.grades = g = tuple(_popcount(i) for i in range(n))
+        gp = [[_merge_sign(a, b) for b in range(n)] for a in range(n)]
+        outer_sign = [[s if not a & b else 0.0 for b, s in enumerate(row)]
+                      for a, row in enumerate(gp)]
+        inner_sign = [[s if g[a ^ b] == abs(g[a] - g[b]) else 0.0 for b, s in enumerate(row)]
+                      for a, row in enumerate(gp)]
+        # sign of blade pair (a, b) per product kind, 0 where the kind drops
+        # it; regressive is the outer product of the j-mapped operands
+        self.signs = (gp, outer_sign, inner_sign, outer_sign)
+        # j_map(e_A) = e_A * I^-1 and j_map_inverse(e_A) = e_A * I are +-e_B
+        # with B = A ^ full, the reverse slot order; signs by target slot B
+        pseudo_sq = gp[self.full][self.full]  # I*I, a +/-1 scalar
+        self.j_inv_signs = tuple(gp[b ^ self.full][self.full] for b in range(n))
+        self.j_signs = tuple(s * pseudo_sq for s in self.j_inv_signs)
+        self.reverse_signs = tuple(-1.0 if k % 4 >= 2 else 1.0 for k in g)
+        self.parity_signs = tuple(-1.0 if k % 2 else 1.0 for k in g)
+        # grade mask of the dual: grade k <-> dim - k
+        self.dual_mask = tuple(sum(1 << (dim - k) for k in range(dim + 1) if m >> k & 1)
+                               for m in range(1 << (dim + 1)))
         # name tables
         names = _DISPLAY_NAMES[space]
         self.names = names
-        self.name_signs = np.empty(n)
-        self.name_signs[0] = 1.0
+        signs = [1.0]
         for i, nm in enumerate(names[1:], 1):
             indices, s = _parse_indices(nm, dim)
             assert sum(1 << k for k in indices) == i
-            self.name_signs[i] = s
+            signs.append(s)
+        self.name_signs = tuple(signs)
         # every index permutation of every blade, so valid names never re-parse
         self.name_to_slot: Dict[str, Tuple[int, float]] = {"1": (0, 1.0), "I": (self.full, 1.0)}
         for k in range(1, dim + 1):
@@ -228,14 +237,18 @@ def as_multivector(x: MultivectorLike) -> "Multivector":
 
 
 class Multivector:
-    """Dense graded coefficient vector bound to one model space.
+    """Graded coefficient tuple bound to one model space.
 
-    Immutable: the coefficient array is frozen after construction, and all
-    operations return new instances, so values can be shared freely across
-    threads.
+    Immutable: ``space`` is read-only, the coefficients are a tuple of
+    floats (``coeffs`` returns them as a fresh read-only array), and all
+    operations return new instances, so values can be shared freely
+    across threads.  The grade mask has bit k set when grade k may be
+    nonzero; the slots of every other grade hold +-0.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("_space", "_c", "_mask")
+
+    space = property(operator.attrgetter("_space"), doc="The model space.")
 
     def __init__(self, space: Space, coeffs: Iterable[float]):
         arr = np.asarray(coeffs, dtype=float)
@@ -244,62 +257,71 @@ class Multivector:
                 f"{space.value} multivector needs {space.size} coefficients, "
                 f"got shape {arr.shape}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", arr)
+        c = tuple(arr.tolist())
+        mask = 0
+        for k, x in zip(_TABLES[space].grades, c):
+            if x:
+                mask |= 1 << k
+        self._space = space
+        self._c = c
+        self._mask = mask
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients as a new read-only float array."""
+        arr = np.array(self._c, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, space: Space) -> "Multivector":
-        return _wrap(space, np.zeros(space.size))
+        return _new(space, (0.0,) * space.size, 0)
 
     @classmethod
     def scalar(cls, space: Space, value: float) -> "Multivector":
-        c = np.zeros(space.size)
-        c[0] = value
-        return _wrap(space, c)
+        return _new(space, (float(value),) + (0.0,) * (space.size - 1), 1)
 
     @classmethod
     def basis(cls, space: Space, name: str) -> "Multivector":
         """Unit blade by name; any index permutation is accepted."""
-        slot, sign = _blade_slot(space, name)
-        c = np.zeros(space.size)
-        c[slot] = sign
-        return _wrap(space, c)
+        return cls.from_terms(space, {name: 1.0})
 
     @classmethod
     def from_terms(cls, space: Space, terms: Mapping[str, float]) -> "Multivector":
         """Build from {blade name: coefficient}; omitted blades are zero."""
-        c = np.zeros(space.size)
+        grades = _TABLES[space].grades
+        c = [0.0] * space.size
+        mask = 0
         for name, value in terms.items():
             slot, sign = _blade_slot(space, name)
             c[slot] += sign * float(value)
-        return _wrap(space, c)
+            mask |= 1 << grades[slot]
+        return _new(space, tuple(c), mask)
 
     # -- introspection -----------------------------------------------------
 
     @property
     def scalar_part(self) -> float:
-        return float(self.coeffs[0])
+        return self._c[0]
 
     @property
     def pseudo_part(self) -> float:
-        return float(self.coeffs[-1])
+        return self._c[-1]
 
     def coeff(self, name: str) -> float:
         """Coefficient of a named blade (permutation sign applied)."""
-        slot, sign = _blade_slot(self.space, name)
-        return sign * float(self.coeffs[slot])
+        slot, sign = _blade_slot(self._space, name)
+        return sign * self._c[slot]
 
     def grades(self) -> Tuple[int, ...]:
-        mag = np.abs(self.coeffs)
-        cut = 1e-12 * float(mag.max())     # below: rounding left by cancelled grades
-        return tuple(sorted(set(_TABLES[self.space].grades[mag > cut].tolist())))
+        c, mask = self._c, self._mask
+        if not mask & (mask - 1):           # at most one grade can be nonzero
+            return (mask.bit_length() - 1,) if any(c) else ()
+        cut = 1e-12 * max(map(abs, c))      # below: rounding left by cancelled grades
+        g = _TABLES[self._space].grades
+        return tuple(sorted({k for k, x in zip(g, c) if abs(x) > cut}))
 
     def pure_grade(self) -> int:
         """Grade of a homogeneous element; raises if mixed or zero."""
@@ -311,31 +333,30 @@ class Multivector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.space is other.space and bool(
-            np.array_equal(self.coeffs, other.coeffs)
-        )
+        return self._space is other._space and all(map(operator.eq, self._c, other._c))
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"Multivector({self.space.value}: {format_terms(self)})"
+        return f"Multivector({self._space.value}: {format_terms(self)})"
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Multivector") -> None:
-        if self.space is not other.space:
+        if self._space is not other._space:
             raise SpaceMismatch(
-                f"cannot combine {self.space.value} with {other.space.value}"
+                f"cannot combine {self._space.value} with {other._space.value}"
             )
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            c = self.coeffs.copy()
-            c[0] += other
-            return _wrap(self.space, c)
+            c = list(self._c)
+            c[0] += float(other)
+            return _new(self._space, tuple(c), self._mask | 1)
         other = as_multivector(other)
         self._check(other)
-        return _wrap(self.space, self.coeffs + other.coeffs)
+        return _new(self._space, tuple(map(operator.add, self._c, other._c)),
+                    self._mask | other._mask)
 
     __radd__ = __add__
 
@@ -344,27 +365,30 @@ class Multivector:
             return self + (-other)
         other = as_multivector(other)
         self._check(other)
-        return _wrap(self.space, self.coeffs - other.coeffs)
+        return _new(self._space, tuple(map(operator.sub, self._c, other._c)),
+                    self._mask | other._mask)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _wrap(self.space, -self.coeffs)
+        return _new(self._space, tuple(map(operator.neg, self._c)), self._mask)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return _wrap(self.space, self.coeffs * other)
+            s = float(other)
+            return _new(self._space, tuple([x * s for x in self._c]), self._mask)
         return geometric_product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return _wrap(self.space, other * self.coeffs)
+            return self * other
         return geometric_product(other, self)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return _wrap(self.space, self.coeffs / other)
+            s = float(other)
+            return _new(self._space, tuple([x / s for x in self._c]), self._mask)
         return geometric_product(self, inverse_blade(as_multivector(other)))
 
     def __xor__(self, other):
@@ -380,13 +404,17 @@ class Multivector:
         return reverse(self)
 
 
-def _wrap(space: Space, arr: np.ndarray) -> Multivector:
-    """Multivector over an array the kernel has just allocated, frozen in place
-    without the public constructor's copy and shape check."""
-    arr.setflags(write=False)
-    mv = object.__new__(Multivector)
-    object.__setattr__(mv, "space", space)
-    object.__setattr__(mv, "coeffs", arr)
+_object_new = object.__new__
+
+
+def _new(space: Space, c: Tuple[float, ...], mask: int) -> Multivector:
+    """Multivector over a coefficient tuple the kernel has just built, with a
+    grade mask covering every nonzero slot, without the public constructor's
+    conversion and checks."""
+    mv = _object_new(Multivector)
+    mv._space = space
+    mv._c = c
+    mv._mask = mask
     return mv
 
 
@@ -404,48 +432,109 @@ def _blade_slot(space: Space, name: str) -> Tuple[int, float]:
 
 def format_terms(a: Multivector, precision: int = 12) -> str:
     """Human-readable term list in display names."""
-    t = _TABLES[a.space]
+    t = _TABLES[a._space]
     parts = []
-    for i in range(t.size):
-        c = t.name_signs[i] * a.coeffs[i]
+    for name, sign, x in zip(t.names, t.name_signs, a._c):
+        c = sign * x
         if c == 0.0:
             continue
         val = f"{c:.{precision}g}"
-        parts.append(val if t.names[i] == "1" else f"{val}*{t.names[i]}")
+        parts.append(val if name == "1" else f"{val}*{name}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 # ---------------------------------------------------------------------------
 # products
 
+_GP, _OUTER, _INNER, _REGRESSIVE = range(4)
+_KIND_NAMES = ("geometric_product", "outer", "inner", "regressive")
+# generated code and result mask per space and product key (see _product)
+_KERNELS: Dict[Space, Dict[int, tuple]] = {s: {} for s in Space}
 
-def _product(a: Multivector, b: Multivector, sign: np.ndarray) -> Multivector:
-    # sign * a_i * b_j is exactly sign * (a_i * b_j), as sign is 0 or +-1; the
-    # gathers are cheaper than a broadcast outer product at these sizes
-    t = _TABLES[a.space]
-    weights = sign * a.coeffs[t.left] * b.coeffs[t.right]
-    return _wrap(a.space, np.bincount(t.target, weights, t.size))
+
+def _product(kind: int, a: MultivectorLike, b: MultivectorLike) -> Multivector:
+    """The product kind of a and b, by the code for their grade masks."""
+    if a.__class__ is not Multivector or b.__class__ is not Multivector:
+        a, b = as_multivector(a), as_multivector(b)
+    space = a._space
+    if b._space is not space:
+        a._check(b)
+    key = kind << 10 | a._mask << 5 | b._mask      # masks have at most 5 bits
+    try:
+        code, mask = _KERNELS[space][key]
+    except KeyError:
+        code, mask = _KERNELS[space][key] = _generate(space, kind, a._mask, b._mask)
+    return _new(space, code(a._c, b._c), mask)
+
+
+def _generate(space: Space, kind: int, mask_a: int, mask_b: int):
+    """Straight-line code of one product kind for one pair of grade masks.
+
+    Slot u sums the terms of its blade pairs in the dense formula's order
+    (left operand major), starting from +0.0.  Pairs the kind drops and
+    pairs of grades outside the masks are left out: for finite operands
+    their terms are +-0, which cannot change a sum that starts at +0.0, so
+    the result is the dense sum bit for bit.  Regressive is the outer
+    product of j_map(a) and j_map(b) under j_map_inverse; both signed
+    permutations fold into the terms and the slot's sign, and a slot with
+    no terms keeps that sign (-(0.0) is -0.0).  Returns the function and
+    the grade mask of its results.
+    """
+    t = _TABLES[space]
+    g = t.grades
+    flip = t.full if kind == _REGRESSIVE else 0    # j_map's index permutation
+    terms = [[] for _ in range(t.size)]
+    read = {"a": set(), "b": set()}
+    for i, row in enumerate(t.signs[kind]):
+        ai = i ^ flip
+        if not mask_a >> g[ai] & 1:
+            continue
+        for j, s in enumerate(row):
+            bj = j ^ flip
+            if s and mask_b >> g[bj] & 1:
+                if flip:
+                    s *= t.j_signs[i] * t.j_signs[j]
+                terms[i ^ j ^ flip].append(f"{'-' if s < 0 else '+'} a{ai}*b{bj}")
+                read["a"].add(ai)
+                read["b"].add(bj)
+    slots, mask = [], 0
+    for u, ts in enumerate(terms):
+        expr = " ".join(["0.0", *ts])
+        if flip and t.j_inv_signs[u] < 0:
+            expr = f"-({expr})"
+        slots.append(expr)
+        if ts:
+            mask |= 1 << g[u]
+    name = f"{_KIND_NAMES[kind]}_{space.value}_{mask_a}_{mask_b}"
+    lines = [f"def {name}(a, b):"]
+    for x, slots_read in read.items():              # unpack only what is read
+        if slots_read:
+            lines.append("    " + ", ".join(f"{x}{i}" if i in slots_read else "_"
+                                            for i in range(t.size)) + f" = {x}")
+    lines.append(f"    return ({', '.join(slots)},)")
+    namespace: Dict[str, object] = {}
+    exec("\n".join(lines), namespace)
+    return namespace[name], mask
 
 
 def geometric_product(a: MultivectorLike, b: MultivectorLike) -> Multivector:
     """Full Clifford product under the all-plus metric."""
-    a, b = as_multivector(a), as_multivector(b)
-    a._check(b)
-    return _product(a, b, _TABLES[a.space].sign_gp)
+    return _product(_GP, a, b)
 
 
 def outer(a: MultivectorLike, b: MultivectorLike) -> Multivector:
     """Exterior (wedge) product: grade-raising antisymmetrised part."""
-    a, b = as_multivector(a), as_multivector(b)
-    a._check(b)
-    return _product(a, b, _TABLES[a.space].sign_outer)
+    return _product(_OUTER, a, b)
 
 
 def inner(a: MultivectorLike, b: MultivectorLike) -> Multivector:
     """Metric dot: grade |k-l| part of each graded product, scalar included."""
-    a, b = as_multivector(a), as_multivector(b)
-    a._check(b)
-    return _product(a, b, _TABLES[a.space].sign_inner)
+    return _product(_INNER, a, b)
+
+
+def regressive(a: MultivectorLike, b: MultivectorLike) -> Multivector:
+    """Join: a v b = J**-1 ( J(a) ^ J(b) )."""
+    return _product(_REGRESSIVE, a, b)
 
 
 def commutator(a: MultivectorLike, b: MultivectorLike) -> Multivector:
@@ -457,19 +546,17 @@ def commutator(a: MultivectorLike, b: MultivectorLike) -> Multivector:
 def j_map(a: MultivectorLike) -> Multivector:
     """Duality transformation, a * I**-1 (coordinate shuffle with sign)."""
     a = as_multivector(a)
-    t = _TABLES[a.space]
-    out = np.empty(t.size)
-    out[t.j_index] = t.j_sign * a.coeffs
-    return _wrap(a.space, out)
+    t = _TABLES[a._space]
+    return _new(a._space, tuple(map(operator.mul, reversed(a._c), t.j_signs)),
+                t.dual_mask[a._mask])
 
 
 def j_map_inverse(a: MultivectorLike) -> Multivector:
     """Inverse duality transformation, a * I."""
     a = as_multivector(a)
-    t = _TABLES[a.space]
-    out = np.empty(t.size)
-    out[t.j_index] = t.j_inv_sign * a.coeffs
-    return _wrap(a.space, out)
+    t = _TABLES[a._space]
+    return _new(a._space, tuple(map(operator.mul, reversed(a._c), t.j_inv_signs)),
+                t.dual_mask[a._mask])
 
 
 def dual_I(a: MultivectorLike) -> Multivector:
@@ -477,34 +564,38 @@ def dual_I(a: MultivectorLike) -> Multivector:
     return j_map_inverse(a)
 
 
-def regressive(a: MultivectorLike, b: MultivectorLike) -> Multivector:
-    """Join: a v b = J**-1 ( J(a) ^ J(b) )."""
-    a, b = as_multivector(a), as_multivector(b)
-    a._check(b)
-    return j_map_inverse(outer(j_map(a), j_map(b)))
-
-
 def reverse(a: MultivectorLike) -> Multivector:
     """Reversion: sign (-1)**(k(k-1)/2) on each grade k."""
     a = as_multivector(a)
-    t = _TABLES[a.space]
-    return _wrap(a.space, t.reverse_signs * a.coeffs)
+    signs = _TABLES[a._space].reverse_signs
+    return _new(a._space, tuple(map(operator.mul, a._c, signs)), a._mask)
+
+
+def _involute(a: Multivector) -> Multivector:
+    """Grade involution: sign (-1)**k on each grade k."""
+    signs = _TABLES[a._space].parity_signs
+    return _new(a._space, tuple(map(operator.mul, a._c, signs)), a._mask)
 
 
 def grade(a: MultivectorLike, k: int) -> Multivector:
     """Projection onto grade k."""
     a = as_multivector(a)
-    t = _TABLES[a.space]
-    return _wrap(a.space, np.where(t.grades == k, a.coeffs, 0.0))
+    g = _TABLES[a._space].grades
+    return _new(a._space, tuple([x if gi == k else 0.0 for gi, x in zip(g, a._c)]),
+                a._mask & (1 << k))
+
+
+def _sum_squares(c: Iterable[float]) -> float:
+    """Sum of squares in slot order from +0.0: <a ~a>_0 of the product, bit for bit."""
+    s = 0.0
+    for x in c:
+        s += x * x
+    return s
 
 
 def coeff_norm(a: MultivectorLike) -> float:
-    """Euclidean norm of the raw coefficient array.
-
-    sqrt(c.c) is numpy's own 1-D norm, without its dispatch overhead.
-    """
-    c = as_multivector(a).coeffs
-    return math.sqrt(c.dot(c))
+    """Euclidean norm of the coefficients: sqrt(<a ~a>_0), as norm without its El3 check."""
+    return math.sqrt(_sum_squares(as_multivector(a)._c))
 
 
 def plucker_residual(a: MultivectorLike) -> float:
@@ -515,20 +606,20 @@ def plucker_residual(a: MultivectorLike) -> float:
     cannot reach grade 4), so the residual is zero there.
     """
     a = as_multivector(a)
-    return float(outer(a, a).coeffs[-1] / 2.0)
+    return outer(a, a).pseudo_part / 2.0
 
 
 def is_simple_bivector(a: MultivectorLike) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
     a = as_multivector(a)
-    n2 = float(a.coeffs @ a.coeffs)
+    n2 = _sum_squares(a._c)
     return abs(plucker_residual(a)) <= epsilon() * max(n2, 1e-300)
 
 
 def is_clifford_bivector(a: MultivectorLike) -> bool:
     """True when (a.a)**2 equals (a v a)**2 within tolerance (El3 only)."""
     a = as_multivector(a)
-    if a.space is not Space.EL3:
+    if a._space is not Space.EL3:
         return False
     s = inner(a, a).scalar_part
     v = regressive(a, a).scalar_part
@@ -544,26 +635,27 @@ def norm(a: MultivectorLike) -> float:
     NonSimpleBivector is raised.
     """
     a = as_multivector(a)
-    if a.space is Space.EL3:
-        g = a.grades()
-        if g == (2,) and not (
-            is_simple_bivector(a) or is_clifford_bivector(a)
-        ):
-            raise NonSimpleBivector(
-                f"norm undefined: plucker residual {plucker_residual(a):.3e}"
-            )
-    # <a ~a>_0 is the sum of squares, in the product's slot-0 order for the
-    # same bits (sum() is compensated from Python 3.12, dot() sums in lanes)
-    m = 0.0
-    for c in a.coeffs.tolist():
-        m += c * c
-    return math.sqrt(m)
+    if a._space is Space.EL3 and a.grades() == (2,) and not (
+        is_simple_bivector(a) or is_clifford_bivector(a)
+    ):
+        raise NonSimpleBivector(
+            f"norm undefined: plucker residual {plucker_residual(a):.3e}"
+        )
+    return coeff_norm(a)
 
 
 def normalized(a: MultivectorLike) -> Multivector:
-    """a / norm(a); raises ZeroInput below tolerance."""
+    """a / norm(a); raises ZeroInput below tolerance.
+
+    When the squares overflow, a is first scaled by the power of two
+    2**-e with e the binary exponent of its largest coefficient, which
+    is exact and leaves the direction alone.
+    """
     a = as_multivector(a)
     n = norm(a)
+    if n == math.inf:
+        a = a * math.ldexp(1.0, -math.frexp(max(map(abs, a._c)))[1])
+        n = norm(a)
     if n <= epsilon():
         raise ZeroInput("cannot normalise a (near-)zero element")
     return a * (1.0 / n)
@@ -579,11 +671,9 @@ def inverse_blade(a: MultivectorLike) -> Multivector:
     eps = epsilon()
     rev = reverse(a)
     m = geometric_product(a, rev)
-    s = m.scalar_part
-    scale = max(float(a.coeffs @ a.coeffs), 1e-300)
-    residual = m.coeffs.copy()
-    residual[0] = 0.0
-    if abs(s) <= eps * scale or math.sqrt(residual.dot(residual)) > eps * scale:
+    s = m.scalar_part                        # the sum of squares, as in _sum_squares
+    scale = max(s, 1e-300)
+    if abs(s) <= eps * scale or math.sqrt(_sum_squares(m._c[1:])) > eps * scale:
         raise NonInvertible(f"no blade inverse: a*~a = {format_terms(m)}")
     return rev * (1.0 / s)
 
@@ -596,12 +686,12 @@ def canonicalize_sign(a: MultivectorLike) -> Multivector:
     """
     a = as_multivector(a)
     eps = epsilon()
-    scale = float(np.abs(a.coeffs).max())
+    scale = max(map(abs, a._c))
     if scale == 0.0:
         return a
-    for i in range(a.space.size - 1, -1, -1):
-        if abs(a.coeffs[i]) > eps * scale:
-            return a if a.coeffs[i] > 0 else -a
+    for x in reversed(a._c):
+        if abs(x) > eps * scale:
+            return a if x > 0 else -a
     return a
 
 
@@ -620,14 +710,11 @@ class Spinor:
     _UNIT_TOL = 1e-6
 
     def __init__(self, mv: Multivector):
-        t = _TABLES[mv.space]
-        odd = np.where(t.grades % 2 == 1, mv.coeffs, 0.0)
-        if np.abs(odd).max() > self._UNIT_TOL:
+        grades = _TABLES[mv.space].grades
+        if any(abs(x) > self._UNIT_TOL for x, k in zip(mv._c, grades) if k % 2):
             raise AlgebraError("spinor must be even-graded")
-        unit = geometric_product(mv, reverse(mv))
-        dev = unit.coeffs.copy()
-        dev[0] -= 1.0
-        if math.sqrt(dev.dot(dev)) > self._UNIT_TOL:
+        unit = geometric_product(mv, reverse(mv))._c
+        if math.sqrt(_sum_squares((unit[0] - 1.0,) + unit[1:])) > self._UNIT_TOL:
             raise AlgebraError("spinor must satisfy S ~S = 1")
         object.__setattr__(self, "mv", mv)
 
@@ -679,12 +766,7 @@ def axis_split(b: Multivector):
         return b, Multivector.zero(b.space), False
     disc = s * s - v * v
     if disc <= eps * s * s:                  # Clifford bivector, split not unique
-        t = _TABLES[b.space]
-        keep = np.zeros(t.size)
-        for name in ("e23", "e31", "e12"):
-            slot, _ = _blade_slot(b.space, name)
-            keep[slot] = b.coeffs[slot]
-        b1 = _wrap(b.space, keep)
+        b1 = Multivector.from_terms(b.space, {n: b.coeff(n) for n in ("e23", "e31", "e12")})
         return b1, b - b1, True
     root = math.sqrt(disc)
     x1 = 0.5 * (s - root)                    # larger axis: more negative square
@@ -718,7 +800,7 @@ def exp_bivector(b: MultivectorLike) -> Spinor:
 
 # A normalised generator squares to -1 only up to rounding; the unit check
 # never asks for closer agreement than this, whatever the tolerance.
-_UNIT_ROUNDING = 16 * np.finfo(float).eps
+_UNIT_ROUNDING = 16 * sys.float_info.epsilon
 
 
 def orbit(
@@ -762,8 +844,7 @@ def to_coeff_dict(a: MultivectorLike) -> Dict[str, float]:
     """{"name": coefficient} in display names; exact zeros omitted."""
     a = as_multivector(a)
     t = _TABLES[a.space]
-    signed = (t.name_signs * a.coeffs).tolist()
-    return {name: c for name, c in zip(t.names, signed) if c != 0.0}
+    return {name: sign * c for name, sign, c in zip(t.names, t.name_signs, a._c) if c != 0.0}
 
 
 def to_json_dict(a: MultivectorLike) -> Dict[str, object]:

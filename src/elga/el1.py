@@ -18,6 +18,7 @@ from .algebra import (
     MultivectorLike,
     Space,
     as_multivector,
+    coeff_norm,
     exp_bivector,
     geometric_product,
     inner,
@@ -75,7 +76,7 @@ def distance(a: MultivectorLike, b: MultivectorLike) -> float:
 def polar(a: MultivectorLike) -> PointEl1:
     """The point a*e01, at distance pi/2 from a."""
     a = as_multivector(a)
-    if a.coeffs @ a.coeffs <= epsilon() * epsilon():
+    if coeff_norm(a) <= epsilon():
         raise ValueError("polar point of a zero element is undefined")
     return PointEl1(geometric_product(a, _E01))
 

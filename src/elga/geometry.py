@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .algebra import (
     Multivector,
     MultivectorLike,
     NonSimpleBivector,
     Space,
-    _wrap,
+    _involute,
     as_multivector,
     coeff_norm,
     commutator,
@@ -40,9 +38,6 @@ ROLE_GRADES = {
     Space.EL2: {"line": 1, "point": 2},
     Space.EL3: {"plane": 1, "line": 2, "bivector": 2, "point": 3},
 }
-
-_GRADES = {s: tables(s).grades.tolist() for s in Space}
-_PARITY = {s: np.where(tables(s).grades % 2, -1.0, 1.0) for s in Space}
 
 
 def check_blade(
@@ -75,7 +70,8 @@ def _grade(mv: Multivector) -> int:
     Round-off in other grades cannot change it, and it costs a fraction
     of a pure_grade() probe.
     """
-    return _GRADES[mv.space][np.abs(mv.coeffs).argmax()]
+    c = mv._c
+    return tables(mv.space).grades[c.index(max(c, key=abs))]
 
 
 def distance(a: MultivectorLike, b: MultivectorLike) -> float:
@@ -123,7 +119,7 @@ def reflect(b: MultivectorLike, a: MultivectorLike, topdown: bool = True) -> Mul
     b, a = as_multivector(b), as_multivector(a)
     flip = False
     if _grade(a) % 2:
-        b = _wrap(b.space, _PARITY[b.space] * b.coeffs)
+        b = _involute(b)
         flip = not topdown
     reflected = geometric_product(geometric_product(a, b), inverse_blade(a))
     return -reflected if flip else reflected

@@ -265,23 +265,33 @@ def _round_sig(x: float, digits: int = 15) -> float:
     return float(f"{x:.{digits}g}")
 
 
+def _finite_json(mv: Multivector) -> Dict[str, object]:
+    obj = to_json_dict(mv)
+    if not all(map(math.isfinite, obj["coeffs"].values())):
+        raise ValueError("result has a coefficient that is not finite")
+    return obj
+
+
 def serialize_value(value, digits: int = 15):
     """JSON form of a query result.
 
     Numeric scalars are rounded to the requested significant digits;
     multivector coefficient arrays are emitted at full precision so the
-    JSON round-trips to bit-identical coefficients.
+    JSON round-trips to bit-identical coefficients.  A non-finite number
+    has no JSON form and raises ValueError.
     """
     mv = value if isinstance(value, Multivector) else getattr(value, "mv", None)
     if isinstance(mv, Multivector):        # blade views and spinors carry .mv
-        return to_json_dict(mv)
+        return _finite_json(mv)
     if isinstance(value, el3.CliffordBivector):
-        return {"sign": value.sign.value, "value": to_json_dict(value.value)}
+        return {"sign": value.sign.value, "value": _finite_json(value.value)}
     if isinstance(value, bool):
         return value
     if isinstance(value, (int,)):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"result {value!r} is not finite")
         return _round_sig(value, digits)
     if isinstance(value, np.ndarray):
         return [serialize_value(float(v), digits) for v in value]
@@ -304,15 +314,11 @@ def evaluate_scene(scene: Scene) -> Dict[str, object]:
     for query in scene.queries:
         spec = ops[query.op]
         try:
-            value = spec.func(*(_coerce(scene, k, raw)
-                                for k, raw in zip(spec.arg_kinds, query.args)))
+            value = serialize_value(spec.func(*(_coerce(scene, k, raw)
+                                                for k, raw in zip(spec.arg_kinds, query.args))))
         except (AlgebraError, ValueError, ZeroDivisionError) as e:
             raise QueryError(query.name, e)
-        results.append({
-            "name": query.name,
-            "op": query.op,
-            "value": serialize_value(value),
-        })
+        results.append({"name": query.name, "op": query.op, "value": value})
     return {"space": scene.space.value, "results": results}
 
 

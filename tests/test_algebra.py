@@ -172,6 +172,58 @@ def test_products_equal_the_outer_product_formula_bit_for_bit(data):
         assert product(a, b).coeffs.tobytes() == old.tobytes(), product.__name__
 
 
+def _dense(product, space, a, b):
+    """The dense numpy formula of a product: every blade pair, summed by bincount."""
+    target, signs = _OUTER_FORMULA[space]
+    return np.bincount(target.ravel(), weights=(signs[product] * np.outer(a, b)).ravel(),
+                       minlength=space.size)
+
+
+def _dense_j(space, a, inverse=False):
+    """j_map (a * I**-1) or j_map_inverse (a * I) as a numpy signed permutation."""
+    full = space.size - 1
+    by_i = np.array([blade_product_bruteforce(bits_of(k), bits_of(full))[0]
+                     for k in range(space.size)], dtype=float)
+    pseudo_sq = blade_product_bruteforce(bits_of(full), bits_of(full))[0]
+    out = np.empty(space.size)
+    out[np.arange(space.size) ^ full] = (by_i if inverse else by_i * pseudo_sq) * a
+    return out
+
+
+_DENSE = {
+    geometric_product: lambda s, a, b: _dense(geometric_product, s, a, b),
+    outer: lambda s, a, b: _dense(outer, s, a, b),
+    inner: lambda s, a, b: _dense(inner, s, a, b),
+    regressive: lambda s, a, b: _dense_j(
+        s, _dense(outer, s, _dense_j(s, a), _dense_j(s, b)), inverse=True),
+    commutator: lambda s, a, b: (_dense(geometric_product, s, a, b)
+                                 - _dense(geometric_product, s, b, a)) * 0.5,
+}
+
+
+@st.composite
+def sparse_operands(draw, space):
+    """A multivector whose grades outside a random subset hold signed zeros."""
+    keep = draw(st.sets(st.integers(0, space.dim)))
+    zero = st.sampled_from([0.0, -0.0])
+    value = zero | st.floats(-1e3, 1e3)
+    c = [draw(value if bin(k).count("1") in keep else zero) for k in range(space.size)]
+    return Multivector(space, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_grade_patterns_equal_the_dense_formulas_bit_for_bit(data):
+    space = data.draw(st.sampled_from(SPACES))
+    a, b = (data.draw(sparse_operands(space)) for _ in range(2))
+    for product, dense in _DENSE.items():
+        got = product(a, b)
+        assert got.coeffs.tobytes() == dense(space, a.coeffs, b.coeffs).tobytes(), product
+        # a result's mask comes from the generated code; it must hold in turn
+        again = product(got, a)
+        assert again.coeffs.tobytes() == dense(space, got.coeffs, a.coeffs).tobytes(), product
+
+
 def test_op_results_are_frozen_and_share_no_memory(rng):
     for space in SPACES:
         a, b = rand_mv(space, rng), rand_mv(space, rng)
@@ -481,13 +533,24 @@ def test_orbit_rejects_bad_generators(rng):
         orbit(Multivector.from_terms(Space.EL3, {"e10": 0.6, "e23": 0.8}), x)
 
 
-def test_coeff_norm_equals_numpy_norm_bit_for_bit(rng):
-    with np.errstate(over="ignore"):                 # both overflow to inf at 1e200
-        for scale in (1.0, 1e-160, 1e-200, 1e150, 1e200):
-            for space in SPACES:
-                for _ in range(20):
-                    a = rand_mv(space, rng, scale)
-                    assert coeff_norm(a) == float(np.linalg.norm(a.coeffs))
+def test_coeff_norm_is_the_root_of_the_slot_order_sum_of_squares(rng):
+    for scale in (1.0, 1e-160, 1e-200, 1e150, 1e200):   # 1e200 overflows to inf
+        for space in SPACES:
+            for _ in range(20):
+                a = rand_mv(space, rng, scale)
+                squares = 0.0
+                for c in a.coeffs.tolist():
+                    squares += c * c
+                got = coeff_norm(a)
+                assert got == math.sqrt(squares)
+                with np.errstate(over="ignore"):
+                    numpy_norm = float(np.linalg.norm(a.coeffs))
+                assert got == numpy_norm or abs(got - numpy_norm) <= 4 * math.ulp(numpy_norm)
+                for k in range(space.dim + 1):
+                    blade = grade(a, k)
+                    if space is Space.EL3 and k == 2:    # a line, within the Plucker check's range
+                        blade = rand_line_el3(rng) * min(scale, 1e150)
+                    assert norm(blade) == coeff_norm(blade), (space, k)
 
 
 def test_name_table_holds_every_display_name_with_its_parsed_sign():

@@ -184,6 +184,34 @@ def test_cli_eval_exit_2_on_math_error(tmp_path):
     assert "inv" in result.stderr
 
 
+def test_cli_distance_of_a_point_whose_squares_overflow(tmp_path):
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps(scene_dict(
+        entities={"P": {"role": "point", "coeffs": {"e12": 1e308, "e20": 1e308}},
+                  "Q": {"role": "point", "coeffs": {"e12": 1}}},
+    )))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 0, result.stderr
+    assert abs(json.loads(result.stdout)["results"][0]["value"] - math.pi / 4) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [
+    ({"e0": 1e200, "e1": 1}, {"e0": 1e200}),                  # the scalar part is inf
+    ({"e0": 1e200, "e1": 1e200}, {"e0": 1e200, "e1": -1e200}),  # ... and inf - inf
+], ids=["overflow", "nan"])
+def test_cli_eval_exit_2_on_a_non_finite_result(tmp_path, a, b):
+    scene = tmp_path / "non_finite.json"
+    scene.write_text(json.dumps({
+        "space": "el2",
+        "entities": {"a": {"coeffs": a}, "b": {"coeffs": b}},
+        "queries": [{"name": "ab", "op": "geometric_product", "args": ["a", "b"]}],
+    }))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 2
+    assert "query 'ab'" in result.stderr and "not finite" in result.stderr
+    assert "Infinity" not in result.stdout and "NaN" not in result.stdout
+
+
 def test_cli_tolerance_override(tmp_path):
     scene = tmp_path / "loose.json"
     scene.write_text(json.dumps({
@@ -629,6 +657,25 @@ def test_eval_path_makes_no_copying_multivector(monkeypatch):
     assert calls == []
     Multivector(Space.EL1, np.zeros(4))
     assert calls == [Space.EL1]
+
+
+def test_product_code_is_generated_on_first_use_only():
+    # each generated product costs an exec, which a cold `elga eval` pays
+    code = (
+        "import sys\n"
+        "import elga.cli\n"
+        "from elga import algebra, scene\n"
+        "print(sum(map(len, algebra._KERNELS.values())))\n"
+        "for n in (1, 2, 3):\n"
+        "    scene.evaluate_scene(scene.load_scene_file(f'{sys.argv[1]}/paper_el{n}.json'))\n"
+        "print(sum(map(len, algebra._KERNELS.values())))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(SCENES)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    at_import, after_eval = map(int, result.stdout.split())
+    assert at_import == 0
+    assert 0 < after_eval <= 60
 
 
 json_trees = st.recursive(
