@@ -10,8 +10,9 @@ Coefficients live in a tuple of 2**dim floats indexed by the
 binary-subset order: bit i of the index corresponds to e_i, so in Cl(3)
 index 0b101 holds the coefficient of e0e2 = e02 (ascending indices).
 A grade mask rides along: bit k is set when grade k may be nonzero, and
-every slot of another grade holds +-0.  ``Multivector.coeffs`` returns a
-fresh read-only numpy array.
+every slot of another grade holds +-0.  Only the two members that deal in
+arrays import numpy, when called: ``Multivector.coeffs`` (a fresh
+read-only array) and the public constructor (from any array-like).
 
 Products
 --------
@@ -44,8 +45,6 @@ import operator
 import sys
 from collections.abc import Mapping
 from typing import Dict, Iterable, Tuple, Union
-
-import numpy as np
 
 # Structural tolerance for simplicity / invertibility / degeneracy
 # predicates, local to each thread.  Test comparisons are tighter (1e-12,
@@ -251,6 +250,8 @@ class Multivector:
     space = property(operator.attrgetter("_space"), doc="The model space.")
 
     def __init__(self, space: Space, coeffs: Iterable[float]):
+        import numpy as np
+
         arr = np.asarray(coeffs, dtype=float)
         if arr.shape != (space.size,):
             raise ValueError(
@@ -267,8 +268,10 @@ class Multivector:
         self._mask = mask
 
     @property
-    def coeffs(self) -> np.ndarray:
+    def coeffs(self) -> "numpy.ndarray":
         """The coefficients as a new read-only float array."""
+        import numpy as np
+
         arr = np.array(self._c, dtype=float)
         arr.flags.writeable = False
         return arr
@@ -609,10 +612,19 @@ def plucker_residual(a: MultivectorLike) -> float:
     return outer(a, a).pseudo_part / 2.0
 
 
+def _scaled_down(a: Multivector) -> Multivector:
+    """a times 2**-e, e the binary exponent of its largest coefficient: for
+    an a whose squares overflow, exact and direction-preserving."""
+    return a * math.ldexp(1.0, -math.frexp(max(map(abs, a._c)))[1])
+
+
 def is_simple_bivector(a: MultivectorLike) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
     a = as_multivector(a)
     n2 = _sum_squares(a._c)
+    if n2 == math.inf:
+        a = _scaled_down(a)
+        n2 = _sum_squares(a._c)
     return abs(plucker_residual(a)) <= epsilon() * max(n2, 1e-300)
 
 
@@ -647,14 +659,13 @@ def norm(a: MultivectorLike) -> float:
 def normalized(a: MultivectorLike) -> Multivector:
     """a / norm(a); raises ZeroInput below tolerance.
 
-    When the squares overflow, a is first scaled by the power of two
-    2**-e with e the binary exponent of its largest coefficient, which
-    is exact and leaves the direction alone.
+    When the squares overflow, a is first scaled down by a power of two
+    (_scaled_down), which is exact and leaves the direction alone.
     """
     a = as_multivector(a)
     n = norm(a)
     if n == math.inf:
-        a = a * math.ldexp(1.0, -math.frexp(max(map(abs, a._c)))[1])
+        a = _scaled_down(a)
         n = norm(a)
     if n <= epsilon():
         raise ZeroInput("cannot normalise a (near-)zero element")
@@ -729,9 +740,6 @@ class Spinor:
         """Sandwich action S x S**-1 (= S x ~S)."""
         x = as_multivector(x)
         return geometric_product(geometric_product(self.mv, x), reverse(self.mv))
-
-    def reversed(self) -> "Spinor":
-        return Spinor(reverse(self.mv))
 
     def __mul__(self, other: "Spinor") -> "Spinor":
         return Spinor(geometric_product(self.mv, other.mv))

@@ -7,8 +7,9 @@ Usage::
 
 ``eval`` prints a JSON report (one record per query, in file order) to
 stdout.  ``figure`` writes PATH.svg and PATH.csv (PATH may carry either
-extension or none).  Exit codes: 0 success, 1 parse/validation failure,
-2 math-domain failure (the diagnostic names the offending query).
+extension or none).  Exit codes: 0 success, 1 parse/validation failure
+or an output file that cannot be written, 2 math-domain failure (the
+diagnostic names the offending query).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import contextlib
 import os
 import sys
 
-from . import algebra, figures, scene as scene_mod
+from . import algebra, scene as scene_mod
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,20 +27,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="elga",
         description="Elliptic geometric algebra scene evaluator",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("scene", help="scene JSON file")
+    common.add_argument("--tolerance", type=float, default=None,
+                        help="override the structural tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="run scene queries, print a JSON report")
-    p_eval.add_argument("scene", help="scene JSON file")
-    p_eval.add_argument("--tolerance", type=float, default=None,
-                        help="override the structural tolerance (default 1e-9)")
+    sub.add_parser("eval", parents=[common], help="run scene queries, print a JSON report")
 
-    p_fig = sub.add_parser("figure", help="sample trajectories, write SVG + CSV")
-    p_fig.add_argument("scene", help="scene JSON file")
-    p_fig.add_argument("--kind", required=True, choices=figures.FIGURE_KINDS)
+    p_fig = sub.add_parser("figure", parents=[common],
+                           help="sample trajectories, write SVG + CSV")
+    p_fig.add_argument("--kind", required=True, choices=scene_mod.FIGURE_KINDS)
     p_fig.add_argument("--samples", type=int, default=256,
                        help="samples per trajectory (default 256)")
     p_fig.add_argument("--out", required=True, help="output path (SVG + CSV)")
-    p_fig.add_argument("--tolerance", type=float, default=None)
     return parser
 
 
@@ -71,7 +72,7 @@ def _run(args) -> int:
         sys.stdout.write(scene_mod.report_to_json(report))
         return 0
 
-    # figure
+    from . import figures      # numpy: only `elga figure` imports it
     try:
         fig = figures.build_figure(scn, args.kind, args.samples)
     except scene_mod.SceneError as e:
@@ -85,8 +86,12 @@ def _run(args) -> int:
         svg_path, csv_path = base + ".svg", base + ".csv"
     else:
         svg_path, csv_path = args.out + ".svg", args.out + ".csv"
-    figures.write_svg(fig, svg_path)
-    figures.write_csv(fig, csv_path)
+    for write, path in ((figures.write_svg, svg_path), (figures.write_csv, csv_path)):
+        try:
+            write(fig, path)
+        except OSError as e:
+            print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+            return 1
     print(f"wrote {svg_path} and {csv_path}", file=sys.stderr)
     return 0
 

@@ -23,7 +23,6 @@ from .algebra import (
     geometric_product,
     inner,
     normalized,
-    regressive,
 )
 
 _E01 = Multivector.basis(Space.EL1, "e01")
@@ -100,7 +99,3 @@ def reflect(a: MultivectorLike, b: MultivectorLike) -> PointEl1:
 project = geometry.project
 reject = geometry.reject
 
-
-def join_weight(a: MultivectorLike, b: MultivectorLike) -> float:
-    """The scalar a v b (its magnitude is sin of the distance)."""
-    return regressive(as_multivector(a), as_multivector(b)).scalar_part

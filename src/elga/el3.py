@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Tuple, Union
 
-import numpy as np
-
 from . import geometry
 from .algebra import (
     epsilon,
@@ -238,19 +236,31 @@ class CliffordFrame:
         return self.line - (dual_I(omega) + omega) * math.cos(theta)
 
 
-def _origin_line(direction: np.ndarray) -> Multivector:
+_Vec3 = Tuple[float, float, float]
+
+
+def _cross(u: _Vec3, v: _Vec3) -> _Vec3:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _length(v: _Vec3) -> float:
+    return math.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
+
+
+def _origin_line(direction: _Vec3) -> Multivector:
     return Multivector.from_terms(_S, {
         "e23": direction[0], "e31": direction[1], "e12": direction[2],
     })
 
 
-def _perp_origin_line(direction: np.ndarray) -> Multivector:
-    d = direction / np.linalg.norm(direction)
-    probe = np.array([1.0, 0.0, 0.0])
-    if np.linalg.norm(np.cross(d, probe)) <= 1e-9:
-        probe = np.array([0.0, 1.0, 0.0])
-    u = np.cross(d, probe)
-    return _origin_line(u / np.linalg.norm(u))
+def _perp_origin_line(direction: _Vec3) -> Multivector:
+    n = _length(direction)
+    d = (direction[0] / n, direction[1] / n, direction[2] / n)
+    u = _cross(d, (1.0, 0.0, 0.0))
+    if _length(u) <= 1e-9:
+        u = _cross(d, (0.0, 1.0, 0.0))
+    n = _length(u)
+    return _origin_line((u[0] / n, u[1] / n, u[2] / n))
 
 
 def clifford_frame(line: MultivectorLike) -> CliffordFrame:
@@ -258,14 +268,14 @@ def clifford_frame(line: MultivectorLike) -> CliffordFrame:
     ln = normalized(_require_line(line))
     p10, p20, p30 = ln.coeff("e10"), ln.coeff("e20"), ln.coeff("e30")
     p23, p31, p12 = ln.coeff("e23"), ln.coeff("e31"), ln.coeff("e12")
-    minus = _origin_line(np.array([p10 - p23, p20 - p31, p30 - p12]))
-    plus = _origin_line(np.array([p10 + p23, p20 + p31, p30 + p12]))
+    minus = (p10 - p23, p20 - p31, p30 - p12)
+    plus = (p10 + p23, p20 + p31, p30 + p12)
     return CliffordFrame(
         line=ln,
-        minus=minus,
-        plus=plus,
-        minus_perp=_perp_origin_line(np.array([p10 - p23, p20 - p31, p30 - p12])),
-        plus_perp=_perp_origin_line(np.array([p10 + p23, p20 + p31, p30 + p12])),
+        minus=_origin_line(minus),
+        plus=_origin_line(plus),
+        minus_perp=_perp_origin_line(minus),
+        plus_perp=_perp_origin_line(plus),
     )
 
 
@@ -540,10 +550,13 @@ def clifford_translate(a: MultivectorLike, xi: CliffordLike, beta: float) -> Mul
 # quaternion bridge
 
 
-def quaternion_bridge(p: MultivectorLike) -> np.ndarray:
-    """Coordinates of a point as the quaternion [w, x, y, z]."""
+Quaternion = Tuple[float, float, float, float]
+
+
+def quaternion_bridge(p: MultivectorLike) -> Quaternion:
+    """Coordinates of a point as the quaternion (w, x, y, z)."""
     p = geometry.check_blade(p, _S, "point", "quaternion_bridge")
-    return np.array([p.coeff("e123"), p.coeff("e320"), p.coeff("e130"), p.coeff("e210")])
+    return (p.coeff("e123"), p.coeff("e320"), p.coeff("e130"), p.coeff("e210"))
 
 
 def point_from_quaternion(q) -> Multivector:
@@ -552,13 +565,16 @@ def point_from_quaternion(q) -> Multivector:
     return Multivector.from_terms(_S, {"e123": w, "e320": x, "e130": y, "e210": z})
 
 
-def quaternion_multiply(p, q) -> np.ndarray:
-    """Hamilton product of [w, x, y, z] quadruples."""
-    pw, pv = p[0], np.asarray(p[1:], dtype=float)
-    qw, qv = q[0], np.asarray(q[1:], dtype=float)
-    w = pw * qw - pv @ qv
-    v = pw * qv + qw * pv + np.cross(pv, qv)
-    return np.array([w, v[0], v[1], v[2]])
+def quaternion_multiply(p, q) -> Quaternion:
+    """Hamilton product of (w, x, y, z) quadruples."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
+        pw * qw - ((px * qx + py * qy) + pz * qz),
+        (pw * qx + qw * px) + (py * qz - pz * qy),
+        (pw * qy + qw * py) + (pz * qx - px * qz),
+        (pw * qz + qw * pz) + (px * qy - py * qx),
+    )
 
 
 def clifford_translate_quat(
@@ -578,8 +594,8 @@ def clifford_translate_quat(
     if off_origin > epsilon() * coeff_norm(ln):
         raise NonOriginLine("Clifford translation quaternion form needs an origin line")
     ln = normalized(ln)
-    lam = np.array([ln.coeff("e23"), ln.coeff("e31"), ln.coeff("e12")])
-    q = np.concatenate([[math.cos(beta)], -lam * math.sin(beta)])
+    s = math.sin(beta)
+    q = (math.cos(beta), *(-ln.coeff(n) * s for n in ("e23", "e31", "e12")))
     pq = quaternion_bridge(p)
     result = quaternion_multiply(pq, q) if side is Side.RIGHT else quaternion_multiply(q, pq)
     return point_from_quaternion(result)

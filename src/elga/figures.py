@@ -33,11 +33,9 @@ import numpy as np
 
 from . import el3
 from .algebra import Multivector, Space, coeff_norm, dual_I, normalized, orbit, tables
-from .scene import Scene, SceneError
+from .scene import FIGURE_KINDS, Scene, SceneError
 
 CHART_CUTOFF = 1e-6
-
-FIGURE_KINDS = ("circle-trajectory", "clifford-parallels", "rotation-flow")
 
 
 @dataclass
@@ -185,7 +183,7 @@ def build_figure(scene: Scene, kind: str, samples: int) -> FigureData:
         return _figure_parallels(scene, samples)
     if kind == "rotation-flow":
         return _figure_rotation(scene, samples)
-    raise SceneError(f"unknown figure kind {kind!r}")
+    raise SceneError(f"unknown figure kind {kind!r} (expected one of {', '.join(FIGURE_KINDS)})")
 
 
 # ---------------------------------------------------------------------------

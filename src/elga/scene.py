@@ -32,8 +32,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
 from typing import Callable, Dict, List, Literal, Tuple, Union
 
-import numpy as np
-
 from . import algebra, el1, el2, el3, geometry
 from .algebra import (
     AlgebraError,
@@ -63,6 +61,10 @@ class Query:
     name: str
     op: str
     args: Tuple[object, ...]
+
+
+# what `elga figure` can draw from a scene (figures.build_figure)
+FIGURE_KINDS = ("circle-trajectory", "clifford-parallels", "rotation-flow")
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,6 @@ def serialize_value(value, digits: int = 15):
         if not math.isfinite(value):
             raise ValueError(f"result {value!r} is not finite")
         return _round_sig(value, digits)
-    if isinstance(value, np.ndarray):
-        return [serialize_value(float(v), digits) for v in value]
     if isinstance(value, (el2.CircleKind, el3.Family, el3.Side, el3.LineRelation)):
         return value.value
     if is_dataclass(value):

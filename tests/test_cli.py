@@ -195,6 +195,21 @@ def test_cli_distance_of_a_point_whose_squares_overflow(tmp_path):
     assert abs(json.loads(result.stdout)["results"][0]["value"] - math.pi / 4) < 1e-12
 
 
+def test_cli_line_whose_squares_overflow_loads(tmp_path):
+    line = {"e10": 1, "e20": 2, "e30": 3, "e23": 4, "e31": 5, "e12": -4.666666666666667}
+    distances = []
+    for scale in (1.0, 1e200):
+        scene = tmp_path / "line.json"
+        scene.write_text(json.dumps({"space": "el3", "entities": {
+            "L": {"role": "line", "coeffs": {k: v * scale for k, v in line.items()}},
+            "P": {"role": "point", "coeffs": {"e123": 1}},
+        }, "queries": [{"name": "r", "op": "distance_line_point", "args": ["L", "P"]}]}))
+        result = run_cli("eval", str(scene))
+        assert result.returncode == 0, result.stderr
+        distances.append(json.loads(result.stdout)["results"][0]["value"])
+    assert abs(distances[1] - distances[0]) <= 1e-12
+
+
 @pytest.mark.parametrize("a, b", [
     ({"e0": 1e200, "e1": 1}, {"e0": 1e200}),                  # the scalar part is inf
     ({"e0": 1e200, "e1": 1e200}, {"e0": 1e200, "e1": -1e200}),  # ... and inf - inf
@@ -358,6 +373,15 @@ def test_figure_writes_svg_and_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["seed", "t", "e123", "e320", "e130", "e210"]
     assert len(rows) > 32
+
+
+def test_figure_unwritable_out_exit_1(tmp_path):
+    out = tmp_path / "missing_dir" / "fig"
+    result = run_cli("figure", str(SCENES / "paper_el2.json"),
+                     "--kind", "circle-trajectory", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot write {out}.svg: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 def _report_values(name):
@@ -661,21 +685,23 @@ def test_eval_path_makes_no_copying_multivector(monkeypatch):
 
 def test_product_code_is_generated_on_first_use_only():
     # each generated product costs an exec, which a cold `elga eval` pays
+    # and the eval path runs on float tuples, so it never imports numpy
     code = (
         "import sys\n"
         "import elga.cli\n"
         "from elga import algebra, scene\n"
-        "print(sum(map(len, algebra._KERNELS.values())))\n"
+        "print(sum(map(len, algebra._KERNELS.values())), 'numpy' in sys.modules)\n"
         "for n in (1, 2, 3):\n"
         "    scene.evaluate_scene(scene.load_scene_file(f'{sys.argv[1]}/paper_el{n}.json'))\n"
-        "print(sum(map(len, algebra._KERNELS.values())))\n"
+        "print(sum(map(len, algebra._KERNELS.values())), 'numpy' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", code, str(SCENES)],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    at_import, after_eval = map(int, result.stdout.split())
-    assert at_import == 0
-    assert 0 < after_eval <= 60
+    at_import, numpy_at_import, after_eval, numpy_after_eval = result.stdout.split()
+    assert int(at_import) == 0
+    assert 0 < int(after_eval) <= 60
+    assert numpy_at_import == numpy_after_eval == "False"
 
 
 json_trees = st.recursive(
