@@ -1,8 +1,9 @@
 """Elliptic projective geometric algebra in 1, 2 and 3 dimensions.
 
 The kernel lives in :mod:`elga.algebra`; the per-space geometry toolkits
-are :mod:`elga.el1`, :mod:`elga.el2` and :mod:`elga.el3`.  A scene-driven
-CLI (``elga eval`` / ``elga figure``) is provided by :mod:`elga.cli`.
+are :mod:`elga.el1`, :mod:`elga.el2` and :mod:`elga.el3`, each imported on
+first use.  A scene-driven CLI (``elga eval`` / ``elga figure``) is provided
+by :mod:`elga.cli`.
 """
 
 from .algebra import (
@@ -66,4 +67,10 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-from . import el1, el2, el3  # noqa: E402  (re-exported subpackages)
+
+def __getattr__(name: str):
+    """el1, el2 and el3 import on first access (PEP 562)."""
+    if name in ("el1", "el2", "el3"):
+        import importlib
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

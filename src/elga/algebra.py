@@ -93,6 +93,44 @@ class ZeroInput(AlgebraError):
     """Operation requires a nonzero (normalisable) element."""
 
 
+class Record:
+    """Immutable value whose fields are its __slots__: field equality, hash and
+    repr, and AttributeError on assignment.  A subclass's __init__ sets the
+    fields with object.__setattr__, or all at once in slot order with _fill."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> tuple:       # copy and pickle
+        return self._values()
+
+    def __setstate__(self, values: tuple) -> None:
+        self._fill(*values)
+
+
 class Space(enum.Enum):
     """The three model spaces; value is the JSON tag."""
 
@@ -612,10 +650,11 @@ def plucker_residual(a: MultivectorLike) -> float:
     return outer(a, a).pseudo_part / 2.0
 
 
-def _scaled_down(a: Multivector) -> Multivector:
-    """a times 2**-e, e the binary exponent of its largest coefficient: for
-    an a whose squares overflow, exact and direction-preserving."""
-    return a * math.ldexp(1.0, -math.frexp(max(map(abs, a._c)))[1])
+def _scaled_down(a: Multivector) -> Tuple[Multivector, int]:
+    """(a times 2**-e, e), e the binary exponent of its largest coefficient:
+    for an a whose squares overflow, exact and direction-preserving."""
+    e = math.frexp(max(map(abs, a._c)))[1]
+    return a * math.ldexp(1.0, -e), e
 
 
 def is_simple_bivector(a: MultivectorLike) -> bool:
@@ -623,7 +662,7 @@ def is_simple_bivector(a: MultivectorLike) -> bool:
     a = as_multivector(a)
     n2 = _sum_squares(a._c)
     if n2 == math.inf:
-        a = _scaled_down(a)
+        a = _scaled_down(a)[0]
         n2 = _sum_squares(a._c)
     return abs(plucker_residual(a)) <= epsilon() * max(n2, 1e-300)
 
@@ -638,15 +677,8 @@ def is_clifford_bivector(a: MultivectorLike) -> bool:
     return abs(s * s - v * v) <= epsilon() * max(s * s, 1e-300)
 
 
-def norm(a: MultivectorLike) -> float:
-    """Blade/versor norm sqrt(<a ~a>_0).
-
-    Equals the Euclidean coefficient norm on blades.  A grade-2 element of
-    El3 must satisfy the Plucker condition or be a Clifford bivector;
-    otherwise the notion of a line norm does not apply and
-    NonSimpleBivector is raised.
-    """
-    a = as_multivector(a)
+def _norm(a: Multivector) -> float:
+    """norm(a), but inf wherever the squares overflow."""
     if a._space is Space.EL3 and a.grades() == (2,) and not (
         is_simple_bivector(a) or is_clifford_bivector(a)
     ):
@@ -656,6 +688,23 @@ def norm(a: MultivectorLike) -> float:
     return coeff_norm(a)
 
 
+def norm(a: MultivectorLike) -> float:
+    """Blade/versor norm sqrt(<a ~a>_0).
+
+    Equals the Euclidean coefficient norm on blades.  A grade-2 element of
+    El3 must satisfy the Plucker condition or be a Clifford bivector;
+    otherwise the notion of a line norm does not apply and
+    NonSimpleBivector is raised.  When the squares overflow, the norm of
+    a * 2**-e (_scaled_down) is scaled back by 2**e, exactly.
+    """
+    a = as_multivector(a)
+    n = _norm(a)
+    if n == math.inf:
+        scaled, e = _scaled_down(a)
+        n = _norm(scaled) * math.ldexp(1.0, e - 1) * 2.0     # inf, not OverflowError
+    return n
+
+
 def normalized(a: MultivectorLike) -> Multivector:
     """a / norm(a); raises ZeroInput below tolerance.
 
@@ -663,10 +712,10 @@ def normalized(a: MultivectorLike) -> Multivector:
     (_scaled_down), which is exact and leaves the direction alone.
     """
     a = as_multivector(a)
-    n = norm(a)
+    n = _norm(a)
     if n == math.inf:
-        a = _scaled_down(a)
-        n = norm(a)
+        a = _scaled_down(a)[0]
+        n = _norm(a)
     if n <= epsilon():
         raise ZeroInput("cannot normalise a (near-)zero element")
     return a * (1.0 / n)

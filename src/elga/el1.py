@@ -9,13 +9,13 @@ the space is periodic with period pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import geometry
 from .algebra import (
     epsilon,
     Multivector,
     MultivectorLike,
+    Record,
     Space,
     as_multivector,
     coeff_norm,
@@ -28,14 +28,14 @@ from .algebra import (
 _E01 = Multivector.basis(Space.EL1, "e01")
 
 
-@dataclass(frozen=True)
-class PointEl1:
+class PointEl1(Record):
     """Grade-1 blade view of a point on the elliptic line."""
 
-    mv: Multivector
+    __slots__ = ("mv",)
 
-    def __post_init__(self):
-        geometry.check_blade(self.mv, Space.EL1, "point", "PointEl1")
+    def __init__(self, mv: Multivector):
+        geometry.check_blade(mv, Space.EL1, "point", "PointEl1")
+        object.__setattr__(self, "mv", mv)
 
     @classmethod
     def from_coeffs(cls, d: float, a: float) -> "PointEl1":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from . import geometry
@@ -21,6 +20,7 @@ from .algebra import (
     AlgebraError,
     Multivector,
     MultivectorLike,
+    Record,
     Space,
     as_multivector,
     coeff_norm,
@@ -36,28 +36,28 @@ class DegeneratePolar(AlgebraError):
     """The point sits at the polar point of the line; a.P vanishes."""
 
 
-@dataclass(frozen=True)
-class LineEl2:
+class LineEl2(Record):
     """Grade-1 blade view of a line in the elliptic plane."""
 
-    mv: Multivector
+    __slots__ = ("mv",)
 
-    def __post_init__(self):
-        geometry.check_blade(self.mv, Space.EL2, "line", "LineEl2", nonzero=True)
+    def __init__(self, mv: Multivector):
+        geometry.check_blade(mv, Space.EL2, "line", "LineEl2", nonzero=True)
+        object.__setattr__(self, "mv", mv)
 
     @classmethod
     def from_coeffs(cls, d: float, a: float, b: float) -> "LineEl2":
         return cls(Multivector.from_terms(Space.EL2, {"e0": d, "e1": a, "e2": b}))
 
 
-@dataclass(frozen=True)
-class PointEl2:
+class PointEl2(Record):
     """Grade-2 blade view of a point in the elliptic plane."""
 
-    mv: Multivector
+    __slots__ = ("mv",)
 
-    def __post_init__(self):
-        geometry.check_blade(self.mv, Space.EL2, "point", "PointEl2", nonzero=True)
+    def __init__(self, mv: Multivector):
+        geometry.check_blade(mv, Space.EL2, "point", "PointEl2", nonzero=True)
+        object.__setattr__(self, "mv", mv)
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "PointEl2":
@@ -103,30 +103,17 @@ def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector
     return result
 
 
-@dataclass(frozen=True)
-class TriangleEl2:
+class TriangleEl2(Record):
     """Three pairwise distinct vertices with their joined side lines."""
 
-    p: Multivector
-    q: Multivector
-    r: Multivector
-    side_pq: Multivector = field(init=False)
-    side_pr: Multivector = field(init=False)
-    side_rq: Multivector = field(init=False)
+    __slots__ = ("p", "q", "r", "side_pq", "side_pr", "side_rq")
 
-    def __post_init__(self):
-        for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
-            v = as_multivector(v)
-            object.__setattr__(self, name, normalized(v))
-        for name, (u, v) in {
-            "side_pq": (self.p, self.q),
-            "side_pr": (self.p, self.r),
-            "side_rq": (self.r, self.q),
-        }.items():
-            side = regressive(u, v)
-            if coeff_norm(side) <= epsilon():
-                raise ValueError("triangle vertices coincide (up to sign)")
-            object.__setattr__(self, name, side)
+    def __init__(self, p: MultivectorLike, q: MultivectorLike, r: MultivectorLike):
+        p, q, r = (normalized(as_multivector(v)) for v in (p, q, r))
+        sides = (regressive(p, q), regressive(p, r), regressive(r, q))
+        if any(coeff_norm(side) <= epsilon() for side in sides):
+            raise ValueError("triangle vertices coincide (up to sign)")
+        self._fill(p, q, r, *sides)
 
 
 def _cos_side(u: Multivector, v: Multivector) -> float:

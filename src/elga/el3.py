@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Literal, Tuple, Union
 
 from . import geometry
@@ -21,6 +20,7 @@ from .algebra import (
     AlgebraError,
     Multivector,
     MultivectorLike,
+    Record,
     Space,
     Spinor,
     as_multivector,
@@ -75,26 +75,26 @@ class Direction(enum.Enum):
 # blade views
 
 
-@dataclass(frozen=True)
-class PlaneEl3:
-    mv: Multivector
+class PlaneEl3(Record):
+    __slots__ = ("mv",)
 
-    def __post_init__(self):
-        geometry.check_blade(self.mv, _S, "plane", "PlaneEl3", nonzero=True)
+    def __init__(self, mv: Multivector):
+        geometry.check_blade(mv, _S, "plane", "PlaneEl3", nonzero=True)
+        object.__setattr__(self, "mv", mv)
 
     @classmethod
     def from_coeffs(cls, d: float, a: float, b: float, c: float) -> "PlaneEl3":
         return cls(Multivector.from_terms(_S, {"e0": d, "e1": a, "e2": b, "e3": c}))
 
 
-@dataclass(frozen=True)
-class LineEl3:
+class LineEl3(Record):
     """Grade-2 blade view; construction checks the Plucker condition."""
 
-    mv: Multivector
+    __slots__ = ("mv",)
 
-    def __post_init__(self):
-        geometry.check_blade(self.mv, _S, "line", "LineEl3", nonzero=True)
+    def __init__(self, mv: Multivector):
+        geometry.check_blade(mv, _S, "line", "LineEl3", nonzero=True)
+        object.__setattr__(self, "mv", mv)
 
     @classmethod
     def from_plucker(cls, p10, p20, p30, p23, p31, p12) -> "LineEl3":
@@ -117,12 +117,12 @@ class LineEl3:
         return tuple(self.mv.coeff(n) for n in ("e10", "e20", "e30", "e23", "e31", "e12"))
 
 
-@dataclass(frozen=True)
-class PointEl3:
-    mv: Multivector
+class PointEl3(Record):
+    __slots__ = ("mv",)
 
-    def __post_init__(self):
-        geometry.check_blade(self.mv, _S, "point", "PointEl3", nonzero=True)
+    def __init__(self, mv: Multivector):
+        geometry.check_blade(mv, _S, "point", "PointEl3", nonzero=True)
+        object.__setattr__(self, "mv", mv)
 
     @classmethod
     def from_xyz(cls, x: float, y: float, z: float) -> "PointEl3":
@@ -181,8 +181,7 @@ def angle_line_plane(line: MultivectorLike, a: MultivectorLike) -> float:
 # axis decomposition
 
 
-@dataclass(frozen=True)
-class AxisDecomposition:
+class AxisDecomposition(Record):
     """Complementary axes of a bivector: larger + smaller = input.
 
     The axes satisfy L1.L2 = 0 and L1 x L2 = 0.  When the input is a
@@ -190,9 +189,10 @@ class AxisDecomposition:
     split is returned with degenerate = True.
     """
 
-    larger: Multivector
-    smaller: Multivector
-    degenerate: bool
+    __slots__ = ("larger", "smaller", "degenerate")
+
+    def __init__(self, larger: Multivector, smaller: Multivector, degenerate: bool):
+        self._fill(larger, smaller, degenerate)
 
 
 def axis_decompose(b: MultivectorLike) -> AxisDecomposition:
@@ -209,8 +209,7 @@ def axis_decompose(b: MultivectorLike) -> AxisDecomposition:
 # Clifford parallels
 
 
-@dataclass(frozen=True)
-class CliffordFrame:
+class CliffordFrame(Record):
     """Origin-line frame attached to a normalised line.
 
     minus/plus carry the differences/sums of the momentum and direction
@@ -218,11 +217,11 @@ class CliffordFrame:
     deterministic perpendicular origin lines anchoring the phi = 0 phase.
     """
 
-    line: Multivector
-    minus: Multivector
-    plus: Multivector
-    minus_perp: Multivector
-    plus_perp: Multivector
+    __slots__ = ("line", "minus", "plus", "minus_perp", "plus_perp")
+
+    def __init__(self, line: Multivector, minus: Multivector, plus: Multivector,
+                 minus_perp: Multivector, plus_perp: Multivector):
+        self._fill(line, minus, plus, minus_perp, plus_perp)
 
     def parallel(self, family: Union[Family, str], phi: float, theta: float) -> Multivector:
         """The unit-weight parallel of self.line at (phi, theta); see clifford_parallel."""
@@ -298,16 +297,16 @@ def clifford_parallel(
     return clifford_frame(mv).parallel(family, phi, theta) * coeff_norm(mv)
 
 
-@dataclass(frozen=True)
-class CliffordBivector:
+class CliffordBivector(Record):
     """Non-simple bivector with I*value = +value (positive) or -value."""
 
-    value: Multivector
-    sign: Family
+    __slots__ = ("value", "sign")
+    report_order = ("sign", "value")      # scene.serialize_value writes the sign first
 
-    def __post_init__(self):
-        if not _fixed_by_I(as_multivector(self.value), self.sign):
+    def __init__(self, value: Multivector, sign: Family):
+        if not _fixed_by_I(as_multivector(value), sign):
             raise ValueError("I*value does not match the declared sign")
+        self._fill(value, sign)
 
     @classmethod
     def from_bivector(cls, mv: MultivectorLike) -> "CliffordBivector":
@@ -364,15 +363,13 @@ class LineRelation(enum.Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class LineLineMetrics:
+class LineLineMetrics(Record):
     """Distance r (= r1), oriented angle alpha, separations r1 <= r2."""
 
-    r: float
-    alpha: float
-    r1: float
-    r2: float
-    relation: LineRelation
+    __slots__ = ("r", "alpha", "r1", "r2", "relation")
+
+    def __init__(self, r: float, alpha: float, r1: float, r2: float, relation: LineRelation):
+        self._fill(r, alpha, r1, r2, relation)
 
 
 def line_line_metrics(

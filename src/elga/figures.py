@@ -26,27 +26,25 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import el3
-from .algebra import Multivector, Space, coeff_norm, dual_I, normalized, orbit, tables
+from .algebra import Multivector, Record, Space, coeff_norm, dual_I, normalized, orbit, tables
 from .scene import FIGURE_KINDS, Scene, SceneError
 
 CHART_CUTOFF = 1e-6
 
 
-@dataclass
-class FigureData:
-    """Polylines (already projected to 2D) plus the raw sample table."""
+class FigureData(Record):
+    """Polylines (already projected to 2D) plus the raw sample table: lists
+    of (label, points), (label, point) and rows, which build_figure extends."""
 
-    kind: str
-    polylines: List[Tuple[str, List[Tuple[float, float]]]] = field(default_factory=list)
-    markers: List[Tuple[str, Tuple[float, float]]] = field(default_factory=list)
-    csv_header: Tuple[str, ...] = ()
-    csv_rows: List[Tuple] = field(default_factory=list)
+    __slots__ = ("kind", "polylines", "markers", "csv_header", "csv_rows")
+
+    def __init__(self, kind: str, csv_header: Tuple[str, ...] = ()):
+        self._fill(kind, [], [], csv_header, [])
 
 
 def _entity(scene: Scene, name: str) -> Multivector:
@@ -92,14 +90,14 @@ def _add_trace(fig: FigureData, label: str, prefix: Tuple, ts: np.ndarray,
     xs = a0.coeffs + np.outer(np.cos(ts), ac.coeffs) + np.outer(np.sin(ts), as_.coeffs)
     slots, signs = zip(*(tables(x.space).name_to_slot[n] for n in names))
     cols = xs[:, list(slots)] * signs
-    fig.csv_rows += [prefix + (t,) + tuple(row)
-                     for t, row in zip(ts.tolist(), cols.tolist())]
+    fig.csv_rows.extend([prefix + (t,) + tuple(row)
+                         for t, row in zip(ts.tolist(), cols.tolist())])
     inside = np.flatnonzero(np.abs(cols[:, 0]) >= CHART_CUTOFF)
     chart = cols[inside, 1:] / cols[inside, :1]
     points = list(zip(*(c.tolist() for c in view(*chart.T))))
     ends = [0, *(np.flatnonzero(np.diff(inside) > 1) + 1).tolist(), len(inside)]
     runs = [points[i:j] for i, j in zip(ends, ends[1:])]
-    fig.polylines += [(f"{label}.{i}", r) for i, r in enumerate(runs) if len(r) >= 2]
+    fig.polylines.extend([(f"{label}.{i}", r) for i, r in enumerate(runs) if len(r) >= 2])
 
 
 def _figure_circle(scene: Scene, samples: int) -> FigureData:

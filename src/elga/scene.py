@@ -24,19 +24,20 @@ radians; there is no degree mode.
 
 from __future__ import annotations
 
-import inspect
+import enum
+import importlib
 import json
 import math
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
-from typing import Callable, Dict, List, Literal, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
-from . import algebra, el1, el2, el3, geometry
+from . import algebra, geometry
 from .algebra import (
     AlgebraError,
     Multivector,
     MultivectorLike,
+    Record,
     Space,
     from_coeff_dict,
     to_json_dict,
@@ -56,30 +57,31 @@ class QueryError(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class Query:
-    name: str
-    op: str
-    args: Tuple[object, ...]
+class Query(Record):
+    __slots__ = ("name", "op", "args")
+
+    def __init__(self, name: str, op: str, args: Tuple[object, ...]):
+        object.__setattr__(self, "name", name)      # one per query: no _fill loop
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
 
 
 # what `elga figure` can draw from a scene (figures.build_figure)
 FIGURE_KINDS = ("circle-trajectory", "clifford-parallels", "rotation-flow")
 
 
-@dataclass(frozen=True)
-class Scene:
-    space: Space
-    entities: Dict[str, Multivector]
-    roles: Dict[str, str]
-    queries: Tuple[Query, ...]
-    figure: Dict[str, object] = field(default_factory=dict)
+class Scene(Record):
+    __slots__ = ("space", "entities", "roles", "queries", "figure")
+
+    def __init__(self, space: Space, entities: Dict[str, Multivector], roles: Dict[str, str],
+                 queries: Tuple[Query, ...], figure: Optional[Dict[str, object]] = None):
+        self._fill(space, entities, roles, queries, {} if figure is None else figure)
 
 
 def _validate_entity(space: Space, name: str, role: str, mv: Multivector) -> None:
     if role == "any":
         return
-    if role not in geometry.ROLE_GRADES[space]:
+    if not isinstance(role, str) or role not in geometry.ROLE_GRADES[space]:
         raise SceneError(f"entity {name!r}: role {role!r} not valid in {space.value}")
     try:
         geometry.check_blade(mv, space, role, role)
@@ -125,7 +127,7 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
         if not isinstance(q, Mapping):
             raise SceneError(f"query #{i} must be an object")
         op = q.get("op")
-        if op not in ops:
+        if not isinstance(op, str) or op not in ops:
             raise SceneError(f"query #{i}: unknown op {op!r} for {space.value}")
         args = q.get("args", [])
         if not isinstance(args, Sequence) or isinstance(args, str):
@@ -143,7 +145,7 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
                     raise SceneError(f"query {name!r}: unknown entity {a!r}")
                 continue
             try:
-                _LITERALS[kind](a)
+                _CONVERT[kind](a)
             except (TypeError, ValueError) as e:
                 raise SceneError(f"query {name!r}: {e}")
         queries.append(Query(name=name, op=op, args=tuple(args)))
@@ -169,10 +171,11 @@ def load_scene_file(path: str) -> Scene:
 # op registry
 
 
-@dataclass(frozen=True)
-class OpSpec:
-    func: Callable
-    arg_kinds: Tuple[str, ...]  # mv | num | family | side | direction | kind | xi
+class OpSpec(Record):
+    __slots__ = ("func", "arg_kinds")     # mv | num | family | side | direction | kind | xi
+
+    def __init__(self, func: Callable, arg_kinds: Tuple[str, ...]):
+        self._fill(func, arg_kinds)
 
 
 def _number(raw) -> float:
@@ -189,27 +192,17 @@ def _projection_kind(raw) -> int:
     return int(raw)
 
 
-# Scene arg kind of each parameter annotation an op may carry, and the
-# converters of the literal (non-entity) kinds.
-_ARG_KINDS = {
-    MultivectorLike: "mv",
-    el3.CliffordLike: "xi",
-    float: "num",
-    Union[el3.Family, str]: "family",
-    Union[el3.Side, str]: "side",
-    Union[el3.Direction, str]: "direction",
-    Literal[1, 2]: "kind",
-}
-_LITERALS = {
-    "num": _number,
-    "family": el3.Family,
-    "side": el3.Side,
-    "direction": el3.Direction,
-    "kind": _projection_kind,
-}
+# Scene arg kind of each parameter annotation an op may carry, as the source
+# spells it: the op modules postpone annotations, and they are never evaluated.
+_ARG_KINDS = {"MultivectorLike": "mv", "CliffordLike": "xi", "float": "num",
+              "Union[Family, str]": "family", "Union[Side, str]": "side",
+              "Union[Direction, str]": "direction", "Literal[1, 2]": "kind"}
+# Converter of each arg kind but "mv"; el3's are added when el3 loads.
+_CONVERT = {"num": _number, "kind": _projection_kind}
 
 
 def _triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
+    from . import el2
     return el2.triangle_area(el2.TriangleEl2(p, q, r))
 
 
@@ -217,38 +210,42 @@ def _triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -
 _SHARED_OPS = ("norm", "dual_I", "regressive", "outer", "inner", "geometric_product",
                "commutator", "reverse", "inverse_blade", "canonicalize_sign", "exp_bivector")
 _OPS = {
-    Space.EL1: (el1, ("distance", "polar", "translate", "reflect", "project", "reject")),
-    Space.EL2: (el2, ("distance_pp", "angle_ll", "distance_lp", "perpendicular_through",
-                      "triangle_area", "right_triangle_area", "project", "reject",
-                      "reflect_topdown", "reflect_bottomup", "rotate", "classify_circle")),
-    Space.EL3: (el3, ("distance_pp", "distance_plane_point", "distance_line_point",
-                      "angle_planes", "angle_line_plane", "axis_decompose", "clifford_frame",
-                      "clifford_parallel", "clifford_bivector", "parallel_through_point",
-                      "line_line_metrics", "project_on_plane", "reject_by_plane",
-                      "project_on_point", "reject_by_point", "project_on_line",
-                      "reject_by_line", "project_line_on_line", "reject_line_by_line",
-                      "perpendicular_through", "reflect", "double_rotation",
-                      "clifford_translate", "quaternion_bridge", "clifford_translate_quat")),
+    Space.EL1: ("distance", "polar", "translate", "reflect", "project", "reject"),
+    Space.EL2: ("distance_pp", "angle_ll", "distance_lp", "perpendicular_through",
+                "triangle_area", "right_triangle_area", "project", "reject",
+                "reflect_topdown", "reflect_bottomup", "rotate", "classify_circle"),
+    Space.EL3: ("distance_pp", "distance_plane_point", "distance_line_point",
+                "angle_planes", "angle_line_plane", "axis_decompose", "clifford_frame",
+                "clifford_parallel", "clifford_bivector", "parallel_through_point",
+                "line_line_metrics", "project_on_plane", "reject_by_plane",
+                "project_on_point", "reject_by_point", "project_on_line",
+                "reject_by_line", "project_line_on_line", "reject_line_by_line",
+                "perpendicular_through", "reflect", "double_rotation",
+                "clifford_translate", "quaternion_bridge", "clifford_translate_quat"),
 }
 
 
 def _op_spec(func: Callable) -> OpSpec:
     """Arg kinds from the parameter annotations: every parameter is a scene arg."""
-    params = inspect.signature(func, eval_str=True).parameters.values()
-    return OpSpec(func, tuple(_ARG_KINDS[p.annotation] for p in params))
+    code = func.__code__
+    return OpSpec(func, tuple(_ARG_KINDS[func.__annotations__[name]]
+                              for name in code.co_varnames[:code.co_argcount]))
 
 
 _REGISTRY: Dict[Space, Dict[str, OpSpec]] = {}
 
 
 def op_registry(space: Space) -> Dict[str, OpSpec]:
-    """Query ops available for a given space."""
+    """Query ops available for a given space; the first call imports its module."""
     if space not in _REGISTRY:
-        module, names = _OPS[space]
+        module = importlib.import_module(f"{__package__}.{space.value}")
         ops = {name: getattr(algebra, name) for name in _SHARED_OPS}
-        ops.update((name, getattr(module, name)) for name in names)
+        ops.update((name, getattr(module, name)) for name in _OPS[space])
         if space is Space.EL2:
             ops["triangle_area"] = _triangle_area
+        if space is Space.EL3:
+            _CONVERT.update(family=module.Family, side=module.Side, direction=module.Direction,
+                            xi=module.CliffordBivector.from_bivector)
         _REGISTRY[space] = {name: _op_spec(func) for name, func in ops.items()}
     return _REGISTRY[space]
 
@@ -256,9 +253,7 @@ def op_registry(space: Space) -> Dict[str, OpSpec]:
 def _coerce(scene: Scene, kind: str, raw):
     if kind == "mv":
         return scene.entities[raw]
-    if kind == "xi":
-        return el3.CliffordBivector.from_bivector(scene.entities[raw])
-    return _LITERALS[kind](raw)
+    return _CONVERT[kind](scene.entities[raw] if kind == "xi" else raw)
 
 
 def _round_sig(x: float, digits: int = 15) -> float:
@@ -285,8 +280,6 @@ def serialize_value(value, digits: int = 15):
     mv = value if isinstance(value, Multivector) else getattr(value, "mv", None)
     if isinstance(mv, Multivector):        # blade views and spinors carry .mv
         return _finite_json(mv)
-    if isinstance(value, el3.CliffordBivector):
-        return {"sign": value.sign.value, "value": _finite_json(value.value)}
     if isinstance(value, bool):
         return value
     if isinstance(value, (int,)):
@@ -295,13 +288,11 @@ def serialize_value(value, digits: int = 15):
         if not math.isfinite(value):
             raise ValueError(f"result {value!r} is not finite")
         return _round_sig(value, digits)
-    if isinstance(value, (el2.CircleKind, el3.Family, el3.Side, el3.LineRelation)):
+    if isinstance(value, enum.Enum):
         return value.value
-    if is_dataclass(value):
-        return {
-            f.name: serialize_value(getattr(value, f.name), digits)
-            for f in dc_fields(value)
-        }
+    if isinstance(value, Record):
+        return {name: serialize_value(getattr(value, name), digits)
+                for name in getattr(value, "report_order", value.__slots__)}
     if isinstance(value, (tuple, list)):
         return [serialize_value(v, digits) for v in value]
     raise TypeError(f"cannot serialise result of type {type(value).__name__}")

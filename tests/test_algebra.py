@@ -550,7 +550,10 @@ def test_coeff_norm_is_the_root_of_the_slot_order_sum_of_squares(rng):
                     blade = grade(a, k)
                     if space is Space.EL3 and k == 2:    # a line, within the Plucker check's range
                         blade = rand_line_el3(rng) * min(scale, 1e150)
-                    assert norm(blade) == coeff_norm(blade), (space, k)
+                    want = coeff_norm(blade)
+                    if want == math.inf:    # the squares overflow and norm rescales
+                        want = pytest.approx(math.hypot(*blade.coeffs.tolist()), rel=1e-14)
+                    assert norm(blade) == want, (space, k)
 
 
 def test_name_table_holds_every_display_name_with_its_parsed_sign():
@@ -699,5 +702,8 @@ def test_norm_sum_of_squares_equals_the_product_bit_for_bit(space, rng):
         if space is Space.EL3 and a.grades() == (2,):
             continue        # norm refuses non-simple bivectors
         got = norm(a)
+        if want == math.inf:    # the squares overflow and norm rescales: no bit-for-bit claim
+            assert got == pytest.approx(math.hypot(*c), rel=1e-14), (c, got)
+            continue
         assert got == want, (c, got, want)
     assert norm(Multivector.zero(space)) == 0.0

@@ -1,13 +1,16 @@
 """CLI and scene layer: evaluation, validation exits, figures, round-trips."""
 
+import copy
 import csv
 import inspect
 import json
 import math
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Literal, Union
 
 import numpy as np
 import pytest
@@ -17,7 +20,10 @@ from hypothesis import strategies as st
 from elga import algebra, el1, el2, el3
 from elga.algebra import Multivector, Space, exp_bivector, from_json_dict, normalized
 from elga.scene import (
+    OpSpec,
+    Query,
     QueryError,
+    Scene,
     SceneError,
     evaluate_scene,
     load_scene,
@@ -25,6 +31,7 @@ from elga.scene import (
     op_registry,
     report_to_json,
     round_report,
+    serialize_value,
 )
 from elga import figures
 
@@ -161,6 +168,34 @@ def test_cli_eval_exit_1_on_non_finite_coefficient(tmp_path, role, value):
     assert result.returncode == 1
     assert result.stdout == ""
     assert "entity 'P'" in result.stderr and "'e20' must be a finite number" in result.stderr
+
+
+@pytest.mark.parametrize("entity, query, named", [
+    ({"role": ["x"]}, {"op": "norm", "args": ["P"]}, "entity 'P'"),
+    ({"role": {"point": 1}}, {"op": "norm", "args": ["P"]}, "entity 'P'"),
+    ({}, {"op": ["norm"], "args": ["P"]}, "query #0"),
+    ({}, {"op": {"norm": 1}, "args": ["P"]}, "query #0"),
+], ids=["list-role", "object-role", "list-op", "object-op"])
+def test_cli_eval_exit_1_on_a_role_or_op_that_is_not_a_string(tmp_path, entity, query, named):
+    bad = tmp_path / "unhashable.json"
+    bad.write_text(json.dumps({"space": "el2", "queries": [query],
+                               "entities": {"P": {"coeffs": {"e12": 1}, **entity}}}))
+    result = run_cli("eval", str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
+def test_cli_norm_of_an_element_whose_squares_overflow(tmp_path):
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps({
+        "space": "el2", "entities": {"a": {"coeffs": {"e12": 1e308, "e20": 1e308}}},
+        "queries": [{"name": "n", "op": "norm", "args": ["a"]}]}))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 0, result.stderr
+    value = json.loads(result.stdout)["results"][0]["value"]
+    assert value == round_report(math.hypot(1e308, 1e308), 15) == 1.4142135623731e308
 
 
 def test_cli_eval_exit_1_on_unparseable(tmp_path):
@@ -520,6 +555,23 @@ def test_registry_derived_from_annotations_matches_op_table():
     assert derived == OP_TABLE
 
 
+# the annotation each arg kind is spelled as, evaluated
+_KIND_OF_TYPE = {
+    algebra.MultivectorLike: "mv", el3.CliffordLike: "xi", float: "num",
+    Union[el3.Family, str]: "family", Union[el3.Side, str]: "side",
+    Union[el3.Direction, str]: "direction", Literal[1, 2]: "kind",
+}
+
+
+def test_arg_kinds_read_from_annotation_strings_match_the_evaluated_annotations():
+    # the registry reads the annotations as written; a respelled one must fail here
+    for space in Space:
+        for op, spec in op_registry(space).items():
+            params = inspect.signature(spec.func, eval_str=True).parameters.values()
+            want = tuple(_KIND_OF_TYPE[p.annotation] for p in params)
+            assert spec.arg_kinds == want, f"{space.value}.{op}"
+
+
 def test_every_op_parameter_is_a_scene_arg():
     # a per-call override (say a tolerance) would be a parameter no scene can set
     for space in Space:
@@ -702,6 +754,138 @@ def test_product_code_is_generated_on_first_use_only():
     assert int(at_import) == 0
     assert 0 < int(after_eval) <= 60
     assert numpy_at_import == numpy_after_eval == "False"
+
+
+def test_cold_eval_loads_only_its_scenes_space_module():
+    # `python -m elga eval`, with the loaded modules printed at exit
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        "sys.argv = ['elga', 'eval', sys.argv[1]]\n"
+        "runpy.run_module('elga', run_name='__main__', alter_sys=True)\n"
+    )
+    for n in (1, 2, 3):
+        result = subprocess.run([sys.executable, "-c", code, str(SCENES / f"paper_el{n}.json")],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["space"] == f"el{n}"
+        loaded = set(result.stderr.split())
+        assert not loaded & {"dataclasses", "inspect", "numpy"}
+        assert {m for m in loaded if re.fullmatch(r"elga\.el\d", m)} == {f"elga.el{n}"}
+
+
+def test_space_modules_are_package_attributes():
+    code = ("import sys, elga\n"
+            "assert 'elga.el3' not in sys.modules\n"
+            "assert elga.el3.LineEl3 is sys.modules['elga.el3'].LineEl3\n"
+            "from elga import el1, el2\n"
+            "assert el1.distance and el2.rotate and elga.el2 is el2\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    import elga
+    with pytest.raises(AttributeError):
+        elga.el4
+
+
+# ---------------------------------------------------------------------------
+# immutable records
+
+
+_S3 = Space.EL3
+_LINE = Multivector.from_terms(_S3, {"e10": 1, "e20": 1, "e23": 1, "e31": -1})
+
+
+def _el2_point(x, y):
+    return Multivector.from_terms(Space.EL2, {"e12": 1, "e20": x, "e01": y})
+
+
+def _xi():
+    return el3.clifford_bivector(_LINE, "positive")
+
+
+# class: (build a fresh instance, a field, hashable, a construction that must raise)
+RECORDS = {
+    el1.PointEl1: (lambda: el1.PointEl1.from_coeffs(0.5, 1.0), "mv", False,
+                   lambda: el1.PointEl1(Multivector.basis(Space.EL1, "e01"))),
+    el2.LineEl2: (lambda: el2.LineEl2.from_coeffs(1, 2, 3), "mv", False,
+                  lambda: el2.LineEl2(Multivector.zero(Space.EL2))),
+    el2.PointEl2: (lambda: el2.PointEl2.from_xy(0.5, 2), "mv", False,
+                   lambda: el2.PointEl2(Multivector.basis(Space.EL2, "e1"))),
+    el2.TriangleEl2: (lambda: el2.TriangleEl2(_el2_point(0, 0), _el2_point(1, 0), _el2_point(0, 1)),
+                      "side_pq", False,
+                      lambda: el2.TriangleEl2(_el2_point(0, 0), _el2_point(0, 0), _el2_point(0, 1))),
+    el3.PlaneEl3: (lambda: el3.PlaneEl3.from_coeffs(1, 2, 3, 4), "mv", False,
+                   lambda: el3.PlaneEl3(Multivector.basis(_S3, "e123"))),
+    el3.LineEl3: (lambda: el3.LineEl3(_LINE), "mv", False,
+                  lambda: el3.LineEl3(Multivector.from_terms(_S3, {"e10": 1, "e23": 1}))),
+    el3.PointEl3: (lambda: el3.PointEl3.from_xyz(1, 2, 3), "mv", False,
+                   lambda: el3.PointEl3(Multivector.basis(_S3, "e12"))),
+    el3.AxisDecomposition: (lambda: el3.axis_decompose(Multivector.from_terms(
+                                _S3, {"e23": 1, "e10": 2, "e12": 0.5})), "larger", False, None),
+    el3.CliffordFrame: (lambda: el3.clifford_frame(_LINE), "plus_perp", False, None),
+    el3.CliffordBivector: (_xi, "sign", False,
+                           lambda: el3.CliffordBivector(_xi().value, el3.Family.NEGATIVE)),
+    el3.LineLineMetrics: (lambda: el3.line_line_metrics(_LINE, Multivector.basis(_S3, "e12")),
+                          "relation", True, None),
+    Query: (lambda: Query("q", "norm", ("P",)), "args", True, None),
+    Scene: (lambda: load_scene(scene_dict()), "queries", False, None),
+    OpSpec: (lambda: OpSpec(algebra.norm, ("mv",)), "func", True, None),
+    figures.FigureData: (lambda: figures.FigureData("rotation-flow", csv_header=("t",)),
+                         "kind", False, None),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_equality_hash_immutability_and_checks(cls):
+    build, field, hashable, invalid = RECORDS[cls]
+    a, b = build(), build()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert a != object() and repr(a) == repr(b)
+    assert repr(a).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+    if hashable:
+        assert hash(a) == hash(b)
+    else:                 # a Multivector, dict or list field, as with frozen dataclasses
+        with pytest.raises(TypeError):
+            hash(a)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+    assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == b
+    if invalid is not None:
+        with pytest.raises((ValueError, algebra.AlgebraError)):
+            invalid()
+
+
+def test_record_fields_keep_their_order_and_keywords():
+    metrics = el3.LineLineMetrics(r=0.1, alpha=0.2, r1=0.1, r2=0.3,
+                                  relation=el3.LineRelation.GENERIC)
+    assert metrics == el3.LineLineMetrics(0.1, 0.2, 0.1, 0.3, el3.LineRelation.GENERIC)
+    assert metrics != el3.LineLineMetrics(0.1, 0.2, 0.1, 0.4, el3.LineRelation.GENERIC)
+    assert Query(name="q", op="norm", args=()) == Query("q", "norm", ())
+    assert load_scene(scene_dict()).figure == {}
+    with pytest.raises(TypeError):
+        Query("q", "norm")
+    with pytest.raises(algebra.NonSimpleBivector):
+        el3.LineEl3(Multivector.from_terms(_S3, {"e10": 1, "e23": 1}))
+
+
+def test_serialized_records_keep_the_key_order():
+    orders = {
+        el3.LineLineMetrics: ["r", "alpha", "r1", "r2", "relation"],
+        el3.AxisDecomposition: ["larger", "smaller", "degenerate"],
+        el3.CliffordFrame: ["line", "minus", "plus", "minus_perp", "plus_perp"],
+        el3.CliffordBivector: ["sign", "value"],
+    }
+    for cls, keys in orders.items():
+        value = serialize_value(RECORDS[cls][0]())
+        assert list(value) == keys, cls.__name__
+    xi = serialize_value(_xi())
+    assert xi["sign"] == "positive" and set(xi["value"]) == {"space", "coeffs"}
 
 
 json_trees = st.recursive(
