@@ -25,14 +25,16 @@ carries the raw normalised coefficients of every sample.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from itertools import chain
 from typing import Tuple
 
 import numpy as np
 
 from . import el3
 from .algebra import Multivector, Record, Space, coeff_norm, dual_I, normalized, orbit, tables
-from .scene import FIGURE_KINDS, Scene, SceneError
+from .scene import FIGURE_KINDS, Scene, SceneError, _number
 
 CHART_CUTOFF = 1e-6
 
@@ -129,13 +131,13 @@ def _figure_parallels(scene: Scene, samples: int) -> FigureData:
     line = _entity(scene, "line")
     params = scene.figure
     try:
-        theta = float(params["theta"])
-    except (KeyError, TypeError, ValueError):
-        raise SceneError("clifford-parallels needs a numeric figure.theta")
+        theta = _number(params.get("theta"))
+    except ValueError as e:
+        raise SceneError(f"figure.theta: {e}")
     if not 0.0 <= theta <= math.pi:
         raise SceneError("figure.theta must be a finite number in [0, pi]")
     count = params.get("parallels", 32)
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:           # a JSON true is no count
         raise SceneError("figure.parallels must be a positive integer")
     family = params.get("family", "both")
     if family not in ("positive", "negative", "both"):
@@ -188,30 +190,46 @@ def build_figure(scene: Scene, kind: str, samples: int) -> FigureData:
 # output
 
 
+def _csv_text(value, width: int) -> str:
+    """What csv.writer writes for value as one cell of a width-wide row
+    (a lone empty cell is quoted, one among others is not)."""
+    buf, pad = io.StringIO(), ("",) if width > 1 else ()
+    csv.writer(buf).writerow((value, *pad))
+    return buf.getvalue()[:-2 - len(pad)]
+
+
 def write_csv(fig: FigureData, path: str) -> None:
+    """The header, then every row as csv.writer writes it: columns of exact
+    floats and ints by %r, any other column by a table of the text csv.writer
+    gives each distinct (type, str) cell; all rows go through one %-format."""
+    width, rows = len(fig.csv_header), fig.csv_rows
+    if rows and set(map(len, rows)) != {width}:
+        raise ValueError(f"every CSV row must have {width} cells, as the header has")
+    cols = list(zip(*rows))
+    specs = ["%r" if set(map(type, col)) <= {float, int} else "%s" for col in cols]
+    for i, spec in enumerate(specs):
+        if spec == "%s":
+            keys = list(zip(map(type, cols[i]), map(str, cols[i])))
+            text = {k: _csv_text(v, width) for k, v in dict(zip(keys, cols[i])).items()}
+            cols[i] = list(map(text.__getitem__, keys))
+    body = (",".join(specs) + "\r\n") * len(rows) % tuple(chain.from_iterable(zip(*cols)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fig.csv_header)
-        writer.writerows(fig.csv_rows)
+        csv.writer(fh).writerow(fig.csv_header)
+        fh.write(body)
 
 
 def write_svg(fig: FigureData, path: str, size: int = 640) -> None:
     """Plain polyline rendering of the figure's chart data."""
     pts = [p for _, run in fig.polylines for p in run]
     pts += [p for _, p in fig.markers]
-    if not pts:
-        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    else:
-        arr = np.array(pts)
-        lo, hi = arr.min(axis=0), arr.max(axis=0)
-    span = max(float(np.max(hi - lo)), 1e-9)
+    xs, ys = zip(*pts) if pts else ((-1.0, 1.0), (-1.0, 1.0))
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     pad = 0.05 * span
-    lo = lo - pad
-    span = span + 2 * pad
-    scale = size / span
+    lx, ly = min(xs) - pad, min(ys) - pad
+    scale = size / (span + 2 * pad)
 
-    def to_px(p):
-        return ((p[0] - lo[0]) * scale, size - (p[1] - lo[1]) * scale)
+    def to_px(run):
+        return tuple([c for x, y in run for c in ((x - lx) * scale, size - (y - ly) * scale)])
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -219,13 +237,13 @@ def write_svg(fig: FigureData, path: str, size: int = 640) -> None:
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     for label, run in fig.polylines:
-        path_pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(to_px, run))
+        path_pts = " ".join(["%.2f,%.2f"] * len(run)) % to_px(run)
         lines.append(
             f'<polyline fill="none" stroke="black" stroke-width="1" '
             f'points="{path_pts}"><title>{label}</title></polyline>'
         )
     for label, p in fig.markers:
-        x, y = to_px(p)
+        x, y = to_px([p])
         lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="black">'
                      f'<title>{label}</title></circle>')
     lines.append("</svg>")

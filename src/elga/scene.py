@@ -17,7 +17,8 @@ A scene is a JSON object::
 
 Roles gate validation at load time: "line" entities in el3 must satisfy
 the Plucker condition, "point"/"plane"/"line" must be homogeneous of the
-right grade, "bivector" must be grade 2.  Query args are entity names,
+right grade, "bivector" must be grade 2.  Query names are unique strings
+(default "q<index>").  Query args are entity names,
 numbers, or keyword strings (family/side/direction/kind).  Angles are
 radians; there is no degree mode.
 """
@@ -123,6 +124,7 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
         raise SceneError("queries must be a list")
     ops = op_registry(space)
     queries: List[Query] = []
+    names: Dict[str, int] = {}
     for i, q in enumerate(raw_queries):
         if not isinstance(q, Mapping):
             raise SceneError(f"query #{i} must be an object")
@@ -133,6 +135,11 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
         if not isinstance(args, Sequence) or isinstance(args, str):
             raise SceneError(f"query #{i}: args must be a list")
         name = q.get("name", f"q{i}")
+        if not isinstance(name, str):
+            raise SceneError(f"query #{i}: name must be a string, got {name!r}")
+        if name in names:
+            raise SceneError(f"query #{i}: name {name!r} is already used by query #{names[name]}")
+        names[name] = i
         spec = ops[op]
         if len(args) != len(spec.arg_kinds):
             raise SceneError(

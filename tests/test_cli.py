@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -170,15 +171,24 @@ def test_cli_eval_exit_1_on_non_finite_coefficient(tmp_path, role, value):
     assert "entity 'P'" in result.stderr and "'e20' must be a finite number" in result.stderr
 
 
-@pytest.mark.parametrize("entity, query, named", [
-    ({"role": ["x"]}, {"op": "norm", "args": ["P"]}, "entity 'P'"),
-    ({"role": {"point": 1}}, {"op": "norm", "args": ["P"]}, "entity 'P'"),
-    ({}, {"op": ["norm"], "args": ["P"]}, "query #0"),
-    ({}, {"op": {"norm": 1}, "args": ["P"]}, "query #0"),
-], ids=["list-role", "object-role", "list-op", "object-op"])
-def test_cli_eval_exit_1_on_a_role_or_op_that_is_not_a_string(tmp_path, entity, query, named):
+NORM_P = {"op": "norm", "args": ["P"]}
+
+
+@pytest.mark.parametrize("entity, queries, named", [
+    ({"role": ["x"]}, [NORM_P], "entity 'P'"),
+    ({"role": {"point": 1}}, [NORM_P], "entity 'P'"),
+    ({}, [{"op": ["norm"], "args": ["P"]}], "query #0"),
+    ({}, [{"op": {"norm": 1}, "args": ["P"]}], "query #0"),
+    ({}, [{"name": ["x"], **NORM_P}], "query #0: name must be a string"),
+    ({}, [{"name": 3, **NORM_P}], "query #0: name must be a string"),
+    ({}, [{"name": "n", **NORM_P}, NORM_P, {"name": "n", **NORM_P}],
+     "query #2: name 'n' is already used by query #0"),
+    ({}, [{"name": "q1", **NORM_P}, NORM_P], "query #1: name 'q1' is already used by query #0"),
+], ids=["list-role", "object-role", "list-op", "object-op", "list-name", "number-name",
+        "repeated-name", "name-of-an-unnamed-query"])
+def test_cli_eval_exit_1_on_a_role_or_op_that_is_not_a_string(tmp_path, entity, queries, named):
     bad = tmp_path / "unhashable.json"
-    bad.write_text(json.dumps({"space": "el2", "queries": [query],
+    bad.write_text(json.dumps({"space": "el2", "queries": queries,
                                "entities": {"P": {"coeffs": {"e12": 1}, **entity}}}))
     result = run_cli("eval", str(bad))
     assert result.returncode == 1
@@ -384,16 +394,29 @@ def test_figure_clifford_bivector_axis_exit_2(tmp_path):
     assert "must be simple" in result.stderr
 
 
-@pytest.mark.parametrize("theta", [4.0, -0.1, math.nan])
-def test_figure_theta_outside_range_exit_1(tmp_path, theta):
+def _run_parallels_figure(tmp_path, **params):
     data = json.loads((SCENES / "paper_el3.json").read_text())
-    data["figure"]["theta"] = theta
-    scene = tmp_path / "theta.json"
+    data["figure"].update(params)
+    scene = tmp_path / "figure.json"
     scene.write_text(json.dumps(data))
-    result = run_cli("figure", str(scene), "--kind", "clifford-parallels",
-                     "--out", str(tmp_path / "fig"))
+    return run_cli("figure", str(scene), "--kind", "clifford-parallels",
+                   "--out", str(tmp_path / "fig"))
+
+
+@pytest.mark.parametrize("theta", [4.0, -0.1, math.nan, "1.0", True])
+def test_figure_theta_outside_range_exit_1(tmp_path, theta):
+    result = _run_parallels_figure(tmp_path, theta=theta)
     assert result.returncode == 1
-    assert "figure.theta" in result.stderr and "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "figure.theta" in lines[0]
+
+
+@pytest.mark.parametrize("count", [True, 1.0, 0])
+def test_figure_parallels_not_a_positive_integer_exit_1(tmp_path, count):
+    result = _run_parallels_figure(tmp_path, parallels=count)
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "figure.parallels" in lines[0]
 
 
 def test_figure_writes_svg_and_csv(tmp_path):
@@ -417,6 +440,98 @@ def test_figure_unwritable_out_exit_1(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: cannot write {out}.svg: ")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+# sha256 of the (CSV, SVG) files of each bundled figure at the default 256
+# samples, as numpy 2.4 samples them on x86-64
+FIGURE_DIGESTS = {
+    ("paper_el2", "circle-trajectory"):
+        ("42cb317a9d62a1f67747af13b1c0dea3560720eb5980df93abeec8f2c0e49347",
+         "8c0680c16583688f95a7a6047faf57cc4647092cb64da29c5b9acd6fe093e48b"),
+    ("paper_el3", "clifford-parallels"):
+        ("7d001b3e28e0db6fe11b511dcb0b92b3f607f1b71d694f27c9fac38a8d5b6edd",
+         "b410dfb1e36b2f3fc3d88420dbde676a4fb0b0b7f94e72b61d017e4d6698c32c"),
+    ("paper_el3", "rotation-flow"):
+        ("4b15f4cbf3b021dad5170c7edfc07902e8862cdd103c86577b1eaf3b54e09d81",
+         "98ce1a2f04cf8f290ab469a71527567580f3e3bf2ee95d2181905fe7ee303d13"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, kind", list(FIGURE_DIGESTS))
+def test_bundled_figure_files_are_pinned(tmp_path, name, kind):
+    fig = figures.build_figure(load_scene_file(str(SCENES / f"{name}.json")), kind, 256)
+    figures.write_csv(fig, str(tmp_path / "fig.csv"))
+    figures.write_svg(fig, str(tmp_path / "fig.svg"))
+    assert (_sha256(tmp_path / "fig.csv"), _sha256(tmp_path / "fig.svg")) == FIGURE_DIGESTS[name, kind]
+
+
+def _figure_data(header, rows):
+    fig = figures.FigureData("table", csv_header=header)
+    fig.csv_rows.extend(rows)
+    return fig
+
+
+def _reference_csv(fig, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fig.csv_header)
+        writer.writerows(fig.csv_rows)
+
+
+# labels csv must quote, cells a %r or a lookup table could get wrong (1, 1.0
+# and True are equal, so are -0.0 and 0.0), and the edge floats
+ODD_ROWS = [
+    ("a,b", -0.0, 0, 1.0, math.nan),
+    ('say "hi"', math.nan, -3, 1, 0.5),
+    ("two\nlines", math.inf, 10 ** 20, True, -0.0),
+    ("cr\rhere", -math.inf, 7, np.float64(0.1), 0.0),
+    ("", 5e-324, 1, -0.0, np.float64(-0.0)),
+    (None, 1.7976931348623157e308, 2, 0.0, None),
+    (True, -5e-324, 3, None, ""),
+    ("plain", -1.7976931348623157e308, 4, "", "a,b"),
+]
+
+
+@pytest.mark.parametrize("header, rows", [
+    (("label", "x", "n", "mixed", "other"), ODD_ROWS),
+    (("label",), [("",), (None,), ("a",), ("x\r\ny",), ("",)]),
+    (("x",), [(1.0,), (-0.0,), (math.nan,), (5,)]),
+    (("t", "x"), []),
+    ((), [(), ()]),
+], ids=["odd-cells", "one-label-column", "one-float-column", "no-rows", "no-columns"])
+def test_write_csv_matches_csv_writer(tmp_path, header, rows):
+    fig = _figure_data(header, rows)
+    figures.write_csv(fig, str(tmp_path / "fast.csv"))
+    _reference_csv(fig, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)]], ids=["short", "long"])
+def test_write_csv_refuses_a_row_unlike_the_header(tmp_path, rows):
+    with pytest.raises(ValueError, match="every CSV row must have 2 cells"):
+        figures.write_csv(_figure_data(("a", "b"), rows), str(tmp_path / "ragged.csv"))
+    assert not (tmp_path / "ragged.csv").exists()
+
+
+SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+            'viewBox="0 0 640 640">\n<rect width="640" height="640" fill="white"/>\n')
+
+
+@pytest.mark.parametrize("markers, body", [
+    ([], ""),
+    ([("R", (0.25, -0.5)), ("S", (-1, 2))],
+     '<circle cx="320.00" cy="610.91" r="3" fill="black"><title>R</title></circle>\n'
+     '<circle cx="29.09" cy="29.09" r="3" fill="black"><title>S</title></circle>\n'),
+], ids=["empty", "markers-only"])
+def test_write_svg_without_polylines(tmp_path, markers, body):
+    fig = figures.FigureData("markers")
+    fig.markers.extend(markers)
+    figures.write_svg(fig, str(tmp_path / "fig.svg"))
+    assert (tmp_path / "fig.svg").read_text() == SVG_HEAD + body + "</svg>\n"
 
 
 def _report_values(name):
