@@ -10,9 +10,9 @@ Coefficients live in a tuple of 2**dim floats indexed by the
 binary-subset order: bit i of the index corresponds to e_i, so in Cl(3)
 index 0b101 holds the coefficient of e0e2 = e02 (ascending indices).
 A grade mask rides along: bit k is set when grade k may be nonzero, and
-every slot of another grade holds +-0.  Only the two members that deal in
-arrays import numpy, when called: ``Multivector.coeffs`` (a fresh
-read-only array) and the public constructor (from any array-like).
+every slot of another grade holds +-0.  One member deals in arrays and
+imports numpy when called: ``Multivector.coeffs`` (a fresh read-only
+array).  The public constructor takes any flat iterable of real numbers.
 
 Products
 --------
@@ -288,15 +288,15 @@ class Multivector:
     space = property(operator.attrgetter("_space"), doc="The model space.")
 
     def __init__(self, space: Space, coeffs: Iterable[float]):
-        import numpy as np
-
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.shape != (space.size,):
-            raise ValueError(
-                f"{space.value} multivector needs {space.size} coefficients, "
-                f"got shape {arr.shape}"
-            )
-        c = tuple(arr.tolist())
+        try:
+            if getattr(coeffs, "ndim", 1) != 1:     # an array of another shape
+                raise TypeError(f"got an array of shape {coeffs.shape}")
+            c = tuple(map(float, coeffs))
+        except TypeError as e:                     # a nested sequence, say
+            raise ValueError(f"{space.value} multivector coefficients must be real numbers: {e}")
+        if len(c) != space.size:
+            raise ValueError(f"{space.value} multivector needs {space.size} coefficients, "
+                             f"got {len(c)}")
         mask = 0
         for k, x in zip(_TABLES[space].grades, c):
             if x:

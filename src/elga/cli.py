@@ -72,7 +72,7 @@ def _run(args) -> int:
         sys.stdout.write(scene_mod.report_to_json(report))
         return 0
 
-    from . import figures      # numpy: only `elga figure` imports it
+    from . import figures      # it imports el3, which `elga eval` loads only for el3 scenes
     try:
         fig = figures.build_figure(scn, args.kind, args.samples)
     except scene_mod.SceneError as e:

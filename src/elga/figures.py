@@ -12,9 +12,10 @@ Three kinds are supported:
 
 Every trajectory is the orbit of a point under exp(-t/2 * b) for a unit
 simple generator b (R, the polar line of the swept line, or ``axis``),
-sampled at all t at once from its closed form A0 + Ac cos t + As sin t
-(``algebra.orbit``).  ``el2.rotate``, ``el3.sweep_line_point`` and
-``exp_bivector`` give the same points one sandwich at a time.
+sampled from its closed form A0 + Ac cos t + As sin t (``algebra.orbit``)
+in plain Python, on one table of (t, cos t, sin t) per figure.
+``el2.rotate``, ``el3.sweep_line_point`` and ``exp_bivector`` give the
+same points one sandwich at a time.
 
 Chart coordinates divide by the weight coefficient (e12 in el2, e123 in
 el3); samples with |weight| < 1e-6 leave the chart and split the
@@ -29,8 +30,6 @@ import io
 import math
 from itertools import chain
 from typing import Tuple
-
-import numpy as np
 
 from . import el3
 from .algebra import Multivector, Record, Space, coeff_norm, dual_I, normalized, orbit, tables
@@ -62,44 +61,56 @@ _CY, _SY = math.cos(_YAW), math.sin(_YAW)
 _CP, _SP = math.cos(_PITCH), math.sin(_PITCH)
 
 
-def _project3(x: float, y: float, z: float) -> Tuple[float, float]:
+def _project3(w: float, x: float, y: float, z: float) -> Tuple[float, float]:
+    x, y, z = x / w, y / w, z / w
     u = _CY * x + _SY * y
     depth = -_SY * x + _CY * y
     v = _CP * z - _SP * depth
     return u, v
 
 
-# weight blade then chart blades, and the 2D view of the chart, per space
+# weight blade then chart blades, and the 2D view of their chart point, per space
 _CHARTS = {
-    Space.EL2: (("e12", "e20", "e01"), lambda x, y: (x, y)),
+    Space.EL2: (("e12", "e20", "e01"), lambda w, x, y: (x / w, y / w)),
     Space.EL3: (("e123", "e320", "e130", "e210"), _project3),
 }
 
 
-def _add_trace(fig: FigureData, label: str, prefix: Tuple, ts: np.ndarray,
+def _sample_table(stop: float, samples: int, endpoint: bool) -> Tuple[list, list, list]:
+    """Columns t, cos t and sin t, with t as np.linspace(0.0, stop, samples,
+    endpoint) gives it bit for bit: one table serves every trace of a figure."""
+    div = samples - 1 if endpoint else samples
+    step = stop / div if div else 0.0
+    ts = [i * step for i in range(samples)]
+    if endpoint and samples > 1:
+        ts[-1] = stop
+    return ts, list(map(math.cos, ts)), list(map(math.sin, ts))
+
+
+def _add_trace(fig: FigureData, label: str, prefix: Tuple, table: Tuple[list, list, list],
                b: Multivector, x: Multivector) -> None:
     """CSV rows, chart coordinates and polylines of the orbit of x under b.
 
-    The orbit is sampled at every t in ts from its closed form
-    A0 + Ac cos t + As sin t (algebra.orbit).  Each sample adds the row
-    prefix + (t, weight, chart coefficients).  A sample whose weight is
-    below CHART_CUTOFF leaves the chart and ends the current run; runs are
-    labelled label.0, label.1, ... in order, and single-point runs are
-    dropped.
+    The orbit is sampled at every t of the table from its closed form
+    A0 + Ac cos t + As sin t (algebra.orbit), one weight or chart column at
+    a time.  Each sample adds the row prefix + (t, weight, chart
+    coefficients).  A sample whose weight is below CHART_CUTOFF leaves the
+    chart and ends the current run; runs are labelled label.0, label.1, ...
+    in order, and single-point runs are dropped.
     """
+    ts, coss, sins = table
     a0, ac, as_ = orbit(b, x)
     names, view = _CHARTS[x.space]
-    xs = a0.coeffs + np.outer(np.cos(ts), ac.coeffs) + np.outer(np.sin(ts), as_.coeffs)
-    slots, signs = zip(*(tables(x.space).name_to_slot[n] for n in names))
-    cols = xs[:, list(slots)] * signs
-    fig.csv_rows.extend([prefix + (t,) + tuple(row)
-                         for t, row in zip(ts.tolist(), cols.tolist())])
-    inside = np.flatnonzero(np.abs(cols[:, 0]) >= CHART_CUTOFF)
-    chart = cols[inside, 1:] / cols[inside, :1]
-    points = list(zip(*(c.tolist() for c in view(*chart.T))))
-    ends = [0, *(np.flatnonzero(np.diff(inside) > 1) + 1).tolist(), len(inside)]
-    runs = [points[i:j] for i, j in zip(ends, ends[1:])]
-    fig.polylines.extend([(f"{label}.{i}", r) for i, r in enumerate(runs) if len(r) >= 2])
+    cols = []
+    for slot, sign in map(tables(x.space).name_to_slot.__getitem__, names):
+        p, c, s = a0._c[slot], ac._c[slot], as_._c[slot]
+        cols.append([((p + cos * c) + sin * s) * sign for cos, sin in zip(coss, sins)])
+    fig.csv_rows.extend([prefix + row for row in zip(ts, *cols)])
+    cuts = [i for i, w in enumerate(cols[0]) if not abs(w) >= CHART_CUTOFF]
+    bounds = [-1, *cuts, len(ts)]
+    runs = [(i + 1, j) for i, j in zip(bounds, bounds[1:]) if j > i + 1]
+    fig.polylines.extend([(f"{label}.{n}", list(map(view, *[col[i:j] for col in cols])))
+                          for n, (i, j) in enumerate(runs) if j - i >= 2])
 
 
 def _figure_circle(scene: Scene, samples: int) -> FigureData:
@@ -109,19 +120,17 @@ def _figure_circle(scene: Scene, samples: int) -> FigureData:
     r = normalized(_entity(scene, "R"))
     fig = FigureData(kind="circle-trajectory",
                      csv_header=("t", "e12", "e20", "e01"))
-    ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    _add_trace(fig, "trajectory", (), ts, r, p)
+    _add_trace(fig, "trajectory", (), _sample_table(2.0 * math.pi, samples, False), r, p)
     if abs(r.coeff("e12")) >= CHART_CUTOFF:
         fig.markers.append(("R", (r.coeff("e20") / r.coeff("e12"),
                                   r.coeff("e01") / r.coeff("e12"))))
     return fig
 
 
-def _sample_line(fig: FigureData, label: str, line: Multivector, samples: int,
+def _sample_line(fig: FigureData, label: str, line: Multivector, table: Tuple[list, list, list],
                  row_prefix: Tuple) -> None:
     """Sweep a point of the line along it: rotation around its polar line."""
-    ts = np.linspace(0.0, math.pi, samples)
-    _add_trace(fig, label, row_prefix, ts,
+    _add_trace(fig, label, row_prefix, table,
                dual_I(normalized(line)), el3.point_on_line(line))
 
 
@@ -148,13 +157,14 @@ def _figure_parallels(scene: Scene, samples: int) -> FigureData:
         csv_header=("family", "index", "phi", "t", "e123", "e320", "e130", "e210"),
     )
     unit = normalized(line)
-    _sample_line(fig, "line", unit, samples, ("line", -1, math.nan))
+    table = _sample_table(math.pi, samples, True)
+    _sample_line(fig, "line", unit, table, ("line", -1, math.nan))
     frame, weight = el3.clifford_frame(unit), coeff_norm(unit)
     for fam in families:
         for i in range(count):
             phi = 2.0 * math.pi * i / count
             par = frame.parallel(fam, phi, theta) * weight    # el3.clifford_parallel
-            _sample_line(fig, f"{fam}.{i}", par, samples, (fam, i, phi))
+            _sample_line(fig, f"{fam}.{i}", par, table, (fam, i, phi))
     return fig
 
 
@@ -168,9 +178,9 @@ def _figure_rotation(scene: Scene, samples: int) -> FigureData:
         raise SceneError("rotation-flow needs at least one point-role entity")
     fig = FigureData(kind="rotation-flow",
                      csv_header=("seed", "t", "e123", "e320", "e130", "e210"))
-    ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    table = _sample_table(2.0 * math.pi, samples, False)
     for name, seed in seeds:
-        _add_trace(fig, name, (name,), ts, axis, normalized(seed))
+        _add_trace(fig, name, (name,), table, axis, normalized(seed))
     return fig
 
 

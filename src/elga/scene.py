@@ -18,9 +18,9 @@ A scene is a JSON object::
 Roles gate validation at load time: "line" entities in el3 must satisfy
 the Plucker condition, "point"/"plane"/"line" must be homogeneous of the
 right grade, "bivector" must be grade 2.  Query names are unique strings
-(default "q<index>").  Query args are entity names,
-numbers, or keyword strings (family/side/direction/kind).  Angles are
-radians; there is no degree mode.
+(default "q<index>").  Any key not shown above exits 1.  Query args are
+entity names, numbers, or keyword strings (family/side/direction/kind).
+Angles are radians; there is no degree mode.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ class Query(Record):
 # what `elga figure` can draw from a scene (figures.build_figure)
 FIGURE_KINDS = ("circle-trajectory", "clifford-parallels", "rotation-flow")
 
+_SCENE_KEYS = frozenset(("space", "entities", "queries", "figure"))
+_ENTITY_KEYS = frozenset(("role", "coeffs"))
+_QUERY_KEYS = frozenset(("name", "op", "args"))
+_FIGURE_KEYS = frozenset(("theta", "parallels", "family"))
+
 
 class Scene(Record):
     __slots__ = ("space", "entities", "roles", "queries", "figure")
@@ -90,10 +95,19 @@ def _validate_entity(space: Space, name: str, role: str, mv: Multivector) -> Non
         raise SceneError(f"entity {name!r}: {e}")
 
 
+def _check_keys(obj: Mapping, allowed: frozenset, where: str, *args) -> None:
+    """Refuse a key outside allowed, naming it and where % args, its object."""
+    if not allowed.issuperset(obj):
+        key = next(k for k in obj if k not in allowed)
+        raise SceneError(f"{where % args}: unknown key {key!r} "
+                         f"(expected {', '.join(sorted(allowed))})")
+
+
 def load_scene(obj: Mapping[str, object]) -> Scene:
     """Validate and bind a parsed scene JSON object."""
     if not isinstance(obj, Mapping):
         raise SceneError("scene must be a JSON object")
+    _check_keys(obj, _SCENE_KEYS, "scene")
     try:
         space = Space.from_tag(obj.get("space"))
     except ValueError as e:
@@ -104,10 +118,9 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
     entities: Dict[str, Multivector] = {}
     roles: Dict[str, str] = {}
     for name, spec in raw_entities.items():
-        if name in entities:
-            raise SceneError(f"duplicate entity name {name!r}")
         if not isinstance(spec, Mapping):
             raise SceneError(f"entity {name!r} must be an object")
+        _check_keys(spec, _ENTITY_KEYS, "entity %r", name)
         role = spec.get("role", "any")
         coeffs = spec.get("coeffs")
         if coeffs is None:
@@ -128,6 +141,7 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
     for i, q in enumerate(raw_queries):
         if not isinstance(q, Mapping):
             raise SceneError(f"query #{i} must be an object")
+        _check_keys(q, _QUERY_KEYS, "query #%d", i)
         op = q.get("op")
         if not isinstance(op, str) or op not in ops:
             raise SceneError(f"query #{i}: unknown op {op!r} for {space.value}")
@@ -159,6 +173,7 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
     figure = obj.get("figure", {})
     if not isinstance(figure, Mapping):
         raise SceneError("figure must be an object")
+    _check_keys(figure, _FIGURE_KEYS, "figure")
     return Scene(space=space, entities=entities, roles=roles,
                  queries=tuple(queries), figure=dict(figure))
 

@@ -582,8 +582,14 @@ def test_canonicalize_sign():
 
 
 def test_construction_validation():
-    with pytest.raises(ValueError):
-        Multivector(Space.EL2, [1, 2, 3])
+    # a wrong length, and nested input in a list or an array, are refused
+    for coeffs in ([1, 2, 3], [[1], [2], [3], [4]], np.zeros((4, 1))):
+        with pytest.raises(ValueError):
+            Multivector(Space.EL1, coeffs)
+    # any flat iterable of real numbers gives the same coefficients, -0.0 kept
+    values = [1, -0.0, 3, 4]
+    for coeffs in (values, tuple(values), (x for x in values), np.array(values)):
+        assert repr(Multivector(Space.EL1, coeffs).coeffs.tolist()) == "[1.0, -0.0, 3.0, 4.0]"
     with pytest.raises(ValueError):
         Multivector.basis(Space.EL1, "e2")      # index out of range
     with pytest.raises(ValueError):

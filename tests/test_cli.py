@@ -197,6 +197,24 @@ def test_cli_eval_exit_1_on_a_role_or_op_that_is_not_a_string(tmp_path, entity, 
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"spaec": "el2"}, "scene: unknown key 'spaec'"),
+    ({"entities": {"P": {"coeffs": {"e12": 1}, "rol": "point"}}}, "entity 'P': unknown key 'rol'"),
+    ({"queries": [{"op": "norm", "args": ["P"], "nmae": "x"}]}, "query #0: unknown key 'nmae'"),
+    ({"figure": {"theta": 1.0, "parallel": 2, "familly": "positive"}},
+     "figure: unknown key 'parallel'"),
+], ids=["scene", "entity", "query", "figure"])
+def test_cli_eval_exit_1_on_an_unknown_key(tmp_path, overrides, named):
+    # a misspelt key would otherwise leave its default in force unnoticed
+    bad = tmp_path / "misspelt.json"
+    bad.write_text(json.dumps(scene_dict(**overrides)))
+    result = run_cli("eval", str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {named} (expected ")
+
+
 def test_cli_norm_of_an_element_whose_squares_overflow(tmp_path):
     scene = tmp_path / "huge.json"
     scene.write_text(json.dumps({
@@ -443,7 +461,7 @@ def test_figure_unwritable_out_exit_1(tmp_path):
 
 
 # sha256 of the (CSV, SVG) files of each bundled figure at the default 256
-# samples, as numpy 2.4 samples them on x86-64
+# samples, on x86-64
 FIGURE_DIGESTS = {
     ("paper_el2", "circle-trajectory"):
         ("42cb317a9d62a1f67747af13b1c0dea3560720eb5980df93abeec8f2c0e49347",
@@ -467,6 +485,36 @@ def test_bundled_figure_files_are_pinned(tmp_path, name, kind):
     figures.write_csv(fig, str(tmp_path / "fig.csv"))
     figures.write_svg(fig, str(tmp_path / "fig.svg"))
     assert (_sha256(tmp_path / "fig.csv"), _sha256(tmp_path / "fig.svg")) == FIGURE_DIGESTS[name, kind]
+
+
+def test_figure_and_eval_run_with_numpy_blocked(tmp_path):
+    # numpy is an optional extra: with its import blocked, `elga figure`
+    # writes the pinned files and `elga eval` the golden reports
+    code = ("import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.argv = ['elga', *sys.argv[1:]]\n"
+            "runpy.run_module('elga', run_name='__main__', alter_sys=True)\n")
+    for (name, kind), digests in FIGURE_DIGESTS.items():
+        out = tmp_path / kind
+        result = subprocess.run([sys.executable, "-c", code, "figure", str(SCENES / f"{name}.json"),
+                                 "--kind", kind, "--out", str(out)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (_sha256(out.with_suffix(".csv")), _sha256(out.with_suffix(".svg"))) == digests
+    for n in (1, 2, 3):
+        result = subprocess.run([sys.executable, "-c", code, "eval", str(SCENES / f"paper_el{n}.json")],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (SCENES / f"paper_el{n}.report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 255, 256, 1000])
+@pytest.mark.parametrize("stop, endpoint", [(math.pi, True), (2.0 * math.pi, False)],
+                         ids=["endpoint", "no-endpoint"])
+def test_sample_table_is_numpy_linspace_bit_for_bit(stop, endpoint, samples):
+    ts = np.linspace(0.0, stop, samples, endpoint=endpoint).tolist()     # samples=1: [0.0]
+    expected = (ts, [math.cos(t) for t in ts], [math.sin(t) for t in ts])
+    assert figures._sample_table(stop, samples, endpoint) == expected
 
 
 def _figure_data(header, rows):
