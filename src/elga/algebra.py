@@ -471,15 +471,15 @@ def _blade_slot(space: Space, name: str) -> Tuple[int, float]:
     return slot, sign
 
 
-def format_terms(a: Multivector, precision: int = 12) -> str:
-    """Human-readable term list in display names."""
+def format_terms(a: Multivector) -> str:
+    """Human-readable term list in display names, 12 significant digits."""
     t = _TABLES[a._space]
     parts = []
     for name, sign, x in zip(t.names, t.name_signs, a._c):
         c = sign * x
         if c == 0.0:
             continue
-        val = f"{c:.{precision}g}"
+        val = f"{c:.12g}"
         parts.append(val if name == "1" else f"{val}*{name}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
@@ -652,39 +652,47 @@ def plucker_residual(a: MultivectorLike) -> float:
 
 def _scaled_down(a: Multivector) -> Tuple[Multivector, int]:
     """(a times 2**-e, e), e the binary exponent of its largest coefficient:
-    for an a whose squares overflow, exact and direction-preserving."""
+    for an a whose squares overflow or underflow, exact and direction-preserving."""
     e = math.frexp(max(map(abs, a._c)))[1]
-    return a * math.ldexp(1.0, -e), e
+    return _new(a._space, tuple([math.ldexp(x, -e) for x in a._c]), a._mask), e
+
+
+def _bivector_pair(b: Multivector) -> Tuple[float, float]:
+    """(n2, w) = (<b ~b>_0, <b^b>_4) = (-<b.b>_0, <b v b>_0) of a grade-2 b, read
+    by _simple and _clifford.  Where their squares would leave the normal floats
+    it is the pair of _scaled_down(b), so they answer alike at every 2**k scale."""
+    n2 = _sum_squares(b._c)
+    if not 2.0 ** -400 < n2 < 2.0 ** 400:
+        b = _scaled_down(b)[0]
+        n2 = _sum_squares(b._c)
+    return n2, outer(b, b).pseudo_part
+
+
+def _simple(n2: float, w: float) -> bool:       # the Plucker condition
+    return abs(w / 2.0) <= epsilon() * n2
+
+
+def _clifford(n2: float, w: float) -> bool:     # (b.b)**2 = (b v b)**2
+    return abs(n2 * n2 - w * w) <= epsilon() * (n2 * n2)
 
 
 def is_simple_bivector(a: MultivectorLike) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
-    a = as_multivector(a)
-    n2 = _sum_squares(a._c)
-    if n2 == math.inf:
-        a = _scaled_down(a)[0]
-        n2 = _sum_squares(a._c)
-    return abs(plucker_residual(a)) <= epsilon() * max(n2, 1e-300)
+    return _simple(*_bivector_pair(as_multivector(a)))
 
 
 def is_clifford_bivector(a: MultivectorLike) -> bool:
-    """True when (a.a)**2 equals (a v a)**2 within tolerance (El3 only)."""
+    """True when I*a = +-a within tolerance (El3 only)."""
     a = as_multivector(a)
-    if a._space is not Space.EL3:
-        return False
-    s = inner(a, a).scalar_part
-    v = regressive(a, a).scalar_part
-    return abs(s * s - v * v) <= epsilon() * max(s * s, 1e-300)
+    return a._space is Space.EL3 and _clifford(*_bivector_pair(a))
 
 
 def _norm(a: Multivector) -> float:
     """norm(a), but inf wherever the squares overflow."""
-    if a._space is Space.EL3 and a.grades() == (2,) and not (
-        is_simple_bivector(a) or is_clifford_bivector(a)
-    ):
-        raise NonSimpleBivector(
-            f"norm undefined: plucker residual {plucker_residual(a):.3e}"
-        )
+    if a._space is Space.EL3 and a.grades() == (2,):
+        n2, w = _bivector_pair(a)
+        if not (_simple(n2, w) or _clifford(n2, w)):
+            raise NonSimpleBivector(f"norm undefined: plucker residual {plucker_residual(a):.3e}")
     return coeff_norm(a)
 
 
@@ -809,26 +817,20 @@ def _exp_simple(b: Multivector) -> Multivector:
 def axis_split(b: Multivector):
     """Split an El3 bivector into complementary commuting parts.
 
-    Returns (b1, b2, degenerate).  b1 is the larger axis (simple input
-    gives b2 = 0); for Clifford bivectors, where the decomposition is not
-    unique, the canonical split into an origin line and its polar line is
-    returned with degenerate = True.
+    Returns (b1, b2, degenerate), branching on the (n2, w) of
+    _bivector_pair.  Simple input gives b1 = b, b2 = 0; for a Clifford
+    bivector the split is not unique and the origin line and its polar
+    come back with degenerate = True; otherwise b1 = b(1 - c1 I)/(1 - c1^2)
+    is the larger axis, with c1 = (w/2)/x1 a ratio of the pair.
     """
-    eps = epsilon()
-    s = inner(b, b).scalar_part              # -|coeffs|^2, <= 0
-    v = regressive(b, b).scalar_part
-    if s == 0.0:
+    n2, w = _bivector_pair(b)
+    if _simple(n2, w):
         return b, Multivector.zero(b.space), False
-    if abs(v) <= eps * abs(s):               # simple: wedge square vanishes
-        return b, Multivector.zero(b.space), False
-    disc = s * s - v * v
-    if disc <= eps * s * s:                  # Clifford bivector, split not unique
+    if _clifford(n2, w):
         b1 = Multivector.from_terms(b.space, {n: b.coeff(n) for n in ("e23", "e31", "e12")})
         return b1, b - b1, True
-    root = math.sqrt(disc)
-    x1 = 0.5 * (s - root)                    # larger axis: more negative square
-    q = plucker_residual(b)                  # (b ^ b) / 2 = q * I
-    c1 = q / x1
+    x1 = -0.5 * (n2 + math.sqrt(n2 * n2 - w * w))  # larger axis: more negative square
+    c1 = (w / 2.0) / x1
     inv = (Multivector.scalar(b.space, 1.0) - dual_I(Multivector.scalar(b.space, c1))) * (
         1.0 / (1.0 - c1 * c1)
     )

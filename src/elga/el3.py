@@ -32,6 +32,7 @@ from .algebra import (
     geometric_product,
     inner,
     inverse_blade,
+    is_clifford_bivector,
     normalized,
     outer,
     regressive,
@@ -55,6 +56,9 @@ class Family(enum.Enum):
 
     POSITIVE = "positive"
     NEGATIVE = "negative"
+
+
+_SIGN = {Family.POSITIVE: 1.0, Family.NEGATIVE: -1.0}     # I*Xi = sign*Xi per family
 
 
 class Side(enum.Enum):
@@ -201,8 +205,7 @@ def axis_decompose(b: MultivectorLike) -> AxisDecomposition:
     if coeff_norm(mv) <= epsilon():
         raise ValueError("axis_decompose requires a nonzero bivector")
     mv = geometry.check_blade(mv, _S, "bivector", "axis_decompose")
-    b1, b2, degenerate = axis_split(mv)
-    return AxisDecomposition(b1, b2, degenerate)
+    return AxisDecomposition(*axis_split(mv))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +231,10 @@ class CliffordFrame(Record):
         family = Family(family)
         if not 0.0 <= theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-        if family is Family.POSITIVE:
-            omega = _omega(self.minus, self.minus_perp, phi, theta)
-            return self.line - (dual_I(omega) - omega) * math.cos(theta)
-        omega = _omega(self.plus, self.plus_perp, phi, theta)
-        return self.line - (dual_I(omega) + omega) * math.cos(theta)
+        axis, perp = ((self.minus, self.minus_perp) if family is Family.POSITIVE
+                      else (self.plus, self.plus_perp))
+        omega = _omega(axis, perp, phi, theta)
+        return self.line - (dual_I(omega) - omega * _SIGN[family]) * math.cos(theta)
 
 
 _Vec3 = Tuple[float, float, float]
@@ -319,18 +321,14 @@ class CliffordBivector(Record):
 
 def _fixed_by_I(v: Multivector, sign: Family) -> bool:
     """I*v = v (positive) or -v (negative), relative to |v| within tolerance."""
-    dual = dual_I(v)
-    off = dual - v if sign is Family.POSITIVE else dual + v
-    return coeff_norm(off) <= epsilon() * max(coeff_norm(v), 1e-300)
+    return coeff_norm(dual_I(v) - v * _SIGN[sign]) <= epsilon() * max(coeff_norm(v), 1e-300)
 
 
 def clifford_bivector(line: MultivectorLike, sign: Union[Family, str]) -> CliffordBivector:
     """(I+1)L for the positive family, (I-1)L for the negative one."""
     sign = Family(sign)
     ln = _require_line(line)
-    d = dual_I(ln)
-    value = d + ln if sign is Family.POSITIVE else d - ln
-    return CliffordBivector(value, sign)
+    return CliffordBivector(dual_I(ln) + ln * _SIGN[sign], sign)
 
 
 CliffordLike = Union[CliffordBivector, MultivectorLike]
@@ -380,7 +378,9 @@ def line_line_metrics(
     With u = L.Phi and v = L v Phi on normalised lines,
     2 sin^2 r = 1 + v^2 - u^2 - sqrt((1 + v^2 - u^2)^2 - 4 v^2) and
     cos alpha = -u / cos r.  The separations satisfy
-    cos r1 cos r2 = |u| and sin r1 sin r2 = |v|.
+    cos r1 cos r2 = |u| and sin r1 sin r2 = |v|.  Skew lines are Clifford
+    parallel when their commutator is a Clifford bivector or vanishes
+    within tolerance (a line and its polar).
     """
     eps = epsilon()
     ln = normalized(_require_line(line))
@@ -391,9 +391,7 @@ def line_line_metrics(
         relation = LineRelation.INTERSECTING
     else:
         comm = commutator(ln, on)
-        cs = inner(comm, comm).scalar_part
-        cv = regressive(comm, comm).scalar_part
-        if abs(cs * cs - cv * cv) <= eps * max(cs * cs, 1.0):
+        if coeff_norm(comm) <= eps or is_clifford_bivector(comm):
             relation = LineRelation.CLIFFORD_PARALLEL
         else:
             relation = LineRelation.GENERIC
@@ -427,33 +425,40 @@ project_on_plane = project_on_point = geometry.project
 reject_by_plane = reject_by_point = geometry.reject
 
 
-def project_on_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
-    """(B.L) L**-1 for points and planes; lines use project_line_on_line."""
+def _line_arg(b: MultivectorLike, line: MultivectorLike, instead: str) -> Multivector:
+    """The checked line of an op on a point or plane b; a line b is told to use `instead`."""
     ln = _require_line(line)
     if as_multivector(b).pure_grade() == 2:
-        raise ValueError("use project_line_on_line for a line argument")
-    return geometry.project(b, ln)
+        raise ValueError(f"use {instead} for a line argument")
+    return ln
+
+
+def project_on_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
+    """(B.L) L**-1 for points and planes; lines use project_line_on_line."""
+    return geometry.project(b, _line_arg(b, line, "project_line_on_line"))
 
 
 def reject_by_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
     """(a^L) L**-1 for planes, (P x L) L**-1 for points."""
+    return geometry.reject(b, _line_arg(b, line, "reject_line_by_line"))
+
+
+def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
+    """(Phi, L, (Phi x L)_kind, the other axis) of two checked lines, by axis_split."""
+    if kind not in (1, 2):
+        raise ValueError("kind must be 1 or 2")
+    pn = _require_line(phi, "phi")
     ln = _require_line(line)
-    if as_multivector(b).pure_grade() == 2:
-        raise ValueError("use reject_line_by_line for a line argument")
-    return geometry.reject(b, ln)
-
-
-def _line_line_pieces(phi: Multivector, line: Multivector):
-    comm = commutator(phi, line)
+    comm = commutator(pn, ln)
     if coeff_norm(comm) <= epsilon():
         zero = Multivector.zero(_S)
-        return zero, zero
+        return pn, ln, zero, zero
     b1, b2, degenerate = axis_split(comm)
     if degenerate:
         raise DegenerateAxes(
             "commutator axes are not unique (Clifford-parallel lines)"
         )
-    return b1, b2
+    return (pn, ln, b1, b2) if kind == 1 else (pn, ln, b2, b1)
 
 
 def project_line_on_line(
@@ -465,12 +470,7 @@ def project_line_on_line(
     passes through L at the angle Phi makes with it); kind 2 uses the
     smaller axis.
     """
-    if kind not in (1, 2):
-        raise ValueError("kind must be 1 or 2")
-    pn = _require_line(phi, "phi")
-    ln = _require_line(line)
-    b1, b2 = _line_line_pieces(pn, ln)
-    axis = b1 if kind == 1 else b2
+    pn, ln, axis, _ = _line_line_args(phi, line, kind)
     return geometric_product(inner(pn, ln) + axis, inverse_blade(ln))
 
 
@@ -481,12 +481,7 @@ def reject_line_by_line(
 
     Kind 2 is perpendicular to L at the same distance from it as Phi.
     """
-    if kind not in (1, 2):
-        raise ValueError("kind must be 1 or 2")
-    pn = _require_line(phi, "phi")
-    ln = _require_line(line)
-    b1, b2 = _line_line_pieces(pn, ln)
-    axis = b2 if kind == 1 else b1
+    pn, ln, _, axis = _line_line_args(phi, line, kind)
     return geometric_product(axis + outer(pn, ln), inverse_blade(ln))
 
 

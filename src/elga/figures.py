@@ -228,8 +228,9 @@ def write_csv(fig: FigureData, path: str) -> None:
         fh.write(body)
 
 
-def write_svg(fig: FigureData, path: str, size: int = 640) -> None:
-    """Plain polyline rendering of the figure's chart data."""
+def write_svg(fig: FigureData, path: str) -> None:
+    """Plain polyline rendering of the figure's chart data, 640 px square."""
+    size = 640
     pts = [p for _, run in fig.polylines for p in run]
     pts += [p for _, p in fig.markers]
     xs, ys = zip(*pts) if pts else ((-1.0, 1.0), (-1.0, 1.0))

@@ -278,7 +278,7 @@ def _coerce(scene: Scene, kind: str, raw):
     return _CONVERT[kind](scene.entities[raw] if kind == "xi" else raw)
 
 
-def _round_sig(x: float, digits: int = 15) -> float:
+def _round_sig(x: float, digits: int) -> float:
     if x == 0 or not math.isfinite(x):
         return x
     return float(f"{x:.{digits}g}")
@@ -291,10 +291,10 @@ def _finite_json(mv: Multivector) -> Dict[str, object]:
     return obj
 
 
-def serialize_value(value, digits: int = 15):
+def serialize_value(value):
     """JSON form of a query result.
 
-    Numeric scalars are rounded to the requested significant digits;
+    Numeric scalars are rounded to 15 significant digits;
     multivector coefficient arrays are emitted at full precision so the
     JSON round-trips to bit-identical coefficients.  A non-finite number
     has no JSON form and raises ValueError.
@@ -309,14 +309,14 @@ def serialize_value(value, digits: int = 15):
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"result {value!r} is not finite")
-        return _round_sig(value, digits)
+        return _round_sig(value, 15)
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, Record):
-        return {name: serialize_value(getattr(value, name), digits)
+        return {name: serialize_value(getattr(value, name))
                 for name in getattr(value, "report_order", value.__slots__)}
     if isinstance(value, (tuple, list)):
-        return [serialize_value(v, digits) for v in value]
+        return [serialize_value(v) for v in value]
     raise TypeError(f"cannot serialise result of type {type(value).__name__}")
 
 

@@ -35,6 +35,7 @@ from elga.scene import (
     serialize_value,
 )
 from elga import figures
+from helpers import assert_mv_close
 
 SCENES = Path(__file__).resolve().parents[1] / "src" / "elga" / "scenes"
 
@@ -271,6 +272,61 @@ def test_cli_line_whose_squares_overflow_loads(tmp_path):
         assert result.returncode == 0, result.stderr
         distances.append(json.loads(result.stdout)["results"][0]["value"])
     assert abs(distances[1] - distances[0]) <= 1e-12
+
+
+def eval_el3(tmp_path, entities, op, *args):
+    """Value of one el3 query through `elga eval`; entities map name -> (role, coeffs)."""
+    scene = tmp_path / "el3.json"
+    scene.write_text(json.dumps({
+        "space": "el3",
+        "entities": {n: {"role": role, "coeffs": c} for n, (role, c) in entities.items()},
+        "queries": [{"name": "q", "op": op, "args": list(args)}],
+    }))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)["results"][0]["value"]
+
+
+def test_cli_nearly_opposite_lines_are_generic_not_clifford_parallel(tmp_path):
+    # their commutator is small, and an absolute Clifford test on it passed
+    lines = {"L": {"e12": 1},
+             "M": {"e20": -0.001, "e30": 1e-07, "e23": 0.0007, "e31": -0.0001, "e12": -1}}
+    m = eval_el3(tmp_path, {n: ("line", c) for n, c in lines.items()},
+                 "line_line_metrics", "L", "M")
+    assert m["relation"] == "generic"
+    ln, mn = (normalized(Multivector.from_terms(Space.EL3, c)) for c in lines.values())
+    sines = abs(algebra.regressive(ln, mn).scalar_part)
+    cosines = abs(algebra.inner(ln, mn).scalar_part)
+    # 1e-10, as for other derived quantities: 1 - u**2 cancels for |u| near 1
+    assert math.isclose(math.sin(m["r1"]) * math.sin(m["r2"]), sines, rel_tol=1e-10)
+    assert math.isclose(math.cos(m["r1"]) * math.cos(m["r2"]), cosines, rel_tol=1e-12)
+
+
+def test_cli_axis_decompose_of_a_bivector_whose_squares_overflow(tmp_path):
+    # (b.b)**2 overflowed, and the input came back whole as the larger axis
+    b = {"e23": 1.0, "e10": 2.0, "e12": 0.5}
+    dec = eval_el3(tmp_path, {"B": ("bivector", {k: v * 1e200 for k, v in b.items()})},
+                   "axis_decompose", "B")
+    unit = el3.axis_decompose(Multivector.from_terms(Space.EL3, b))
+    assert not dec["degenerate"] and not unit.degenerate
+    for key, want in (("larger", unit.larger), ("smaller", unit.smaller)):
+        assert_mv_close(from_json_dict(dec[key]) * 1e-200, want, 1e-12 * algebra.coeff_norm(want))
+
+
+def test_cli_norm_of_a_clifford_bivector_whose_squares_overflow(tmp_path):
+    # exited 2 with "plucker residual -inf": neither structure test survived the overflow
+    line = from_json_dict({"space": "el3", "coeffs": {
+        "e20": -1 / 3, "e30": 1, "e23": 1, "e31": -1, "e12": -1 / 3}})
+    xi = el3.clifford_bivector(line, "positive").value
+    n = eval_el3(tmp_path, {"X": ("bivector", algebra.to_coeff_dict(xi * 1e200))}, "norm", "X")
+    assert math.isclose(n, 1e200 * algebra.norm(xi), rel_tol=1e-12)
+
+
+def test_cli_axis_decompose_of_a_line_that_loaded_as_simple(tmp_path):
+    # the load check and axis_split's own simplicity test differed by a factor of 2
+    dec = eval_el3(tmp_path, {"L": ("line", {"e23": 1, "e10": 8e-10})}, "axis_decompose", "L")
+    assert dec["smaller"]["coeffs"] == {} and not dec["degenerate"]
+    assert dec["larger"]["coeffs"] == {"e10": 8e-10, "e23": 1.0}
 
 
 @pytest.mark.parametrize("a, b", [

@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elga.algebra import (
     Multivector,
     NonSimpleBivector,
     Space,
+    axis_split,
     coeff_norm,
     commutator,
     dual_I,
     geometric_product,
     inner,
     inverse_blade,
+    is_clifford_bivector,
+    is_simple_bivector,
     normalized,
     outer,
     plucker_residual,
@@ -175,6 +180,34 @@ def test_axis_invariants_random(rng):
             sign = 1.0 if v < 0 else -1.0
             assert_mv_close(normalized(dec.smaller),
                             dual_I(normalized(dec.larger)) * sign, 1e-10)
+
+
+def _bivector_of_kind(kind, rng):
+    line = rand_line_el3(rng) * rng.uniform(0.5, 2.0)
+    if kind == "line":
+        return line
+    if kind == "clifford":
+        return el3.clifford_bivector(line, ("positive", "negative")[rng.integers(2)]).value
+    return rand_bivector_el3(rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["line", "clifford", "generic"]),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(-600, 600))
+def test_axis_split_is_scale_free_and_agrees_with_the_structure_tests(kind, seed, k):
+    b = _bivector_of_kind(kind, np.random.default_rng(seed))
+    scale = math.ldexp(1.0, k)
+    b1, b2, degenerate = axis_split(b * scale)
+    want1, want2, want_degenerate = axis_split(b)
+    # power-of-two scaling is exact, so the split scales bit for bit
+    assert b1.coeffs.tobytes() == (want1 * scale).coeffs.tobytes()
+    assert b2.coeffs.tobytes() == (want2 * scale).coeffs.tobytes()
+    assert degenerate == want_degenerate
+    simple, clifford = is_simple_bivector(b * scale), is_clifford_bivector(b * scale)
+    assert (simple, clifford) == (is_simple_bivector(b), is_clifford_bivector(b))
+    assert simple == (kind == "line") and clifford == (kind == "clifford")
+    assert degenerate == (clifford and not simple)
+    assert simple == (not any(b2.coeffs))
 
 
 def test_axis_decompose_rejects_zero_and_wrong_grade():
