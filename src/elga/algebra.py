@@ -642,7 +642,7 @@ def coeff_norm(a: MultivectorLike) -> float:
 def plucker_residual(a: MultivectorLike) -> float:
     """Simplicity defect of a grade-2 element: pseudoscalar part of (a^a)/2.
 
-    In El3 this equals p10*p23 + p20*p31 + p30*p12 and vanishes exactly on
+    In El3 this equals -(p10*p23 + p20*p31 + p30*p12) and vanishes exactly on
     lines.  Grade-2 elements of El1/El2 are always simple (the wedge square
     cannot reach grade 4), so the residual is zero there.
     """
@@ -657,42 +657,51 @@ def _scaled_down(a: Multivector) -> Tuple[Multivector, int]:
     return _new(a._space, tuple([math.ldexp(x, -e) for x in a._c]), a._mask), e
 
 
-def _bivector_pair(b: Multivector) -> Tuple[float, float]:
-    """(n2, w) = (<b ~b>_0, <b^b>_4) = (-<b.b>_0, <b v b>_0) of a grade-2 b, read
-    by _simple and _clifford.  Where their squares would leave the normal floats
-    it is the pair of _scaled_down(b), so they answer alike at every 2**k scale."""
-    n2 = _sum_squares(b._c)
-    if not 2.0 ** -400 < n2 < 2.0 ** 400:
-        b = _scaled_down(b)[0]
-        n2 = _sum_squares(b._c)
-    return n2, outer(b, b).pseudo_part
+def _halves(b: Multivector) -> tuple:
+    """(C, D, c, d) of a grade-2 El3 b: its self-dual half C = (p10 + p23, p20 + p31,
+    p30 + p12)/2 (I swaps e10 <-> e23, e20 <-> e31, e30 <-> e12), its anti-self-dual
+    half D = (p23 - p10, p31 - p20, p12 - p30)/2 and their lengths, halved once more
+    if they overflow.  |b|**2 = 2(c**2 + d**2), plucker_residual(b) = d**2 - c**2."""
+    _, _, _, m01, _, m02, p12, _, _, m03, m13, _, p23, _, _, _ = b._c   # p10 = -m01, ...
+    C = (0.5 * p23 - 0.5 * m01, -0.5 * m02 - 0.5 * m13, 0.5 * p12 - 0.5 * m03)
+    D = (0.5 * p23 + 0.5 * m01, 0.5 * m02 - 0.5 * m13, 0.5 * p12 + 0.5 * m03)
+    c, d = math.hypot(*C), math.hypot(*D)
+    if max(c, d) == math.inf:                   # coefficients beyond ~1e308
+        c, d = math.hypot(*[0.5 * x for x in C]), math.hypot(*[0.5 * x for x in D])
+    return C, D, c, d
 
 
-def _simple(n2: float, w: float) -> bool:       # the Plucker condition
-    return abs(w / 2.0) <= epsilon() * n2
+def _plucker(c: float, d: float) -> float:
+    """The simple test's value: plucker_residual/|b|**2, (d**2 - c**2)/(2(c**2 + d**2))."""
+    r = min(c, d) / max(c, d) if c != d else 1.0
+    return math.copysign((1.0 - r) * (1.0 + r) / (2.0 * (1.0 + r * r)), d - c)
 
 
-def _clifford(n2: float, w: float) -> bool:     # (b.b)**2 = (b v b)**2
-    return abs(n2 * n2 - w * w) <= epsilon() * (n2 * n2)
+def _clifford(c: float, d: float) -> bool:
+    """The Clifford test, I b = +-b within tolerance: 2 min(c, d) <= eps hypot(c, d)."""
+    r = min(c, d) / max(c, d) if c or d else 0.0
+    return 2.0 * r <= epsilon() * math.hypot(1.0, r)
 
 
 def is_simple_bivector(a: MultivectorLike) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
-    return _simple(*_bivector_pair(as_multivector(a)))
+    a = as_multivector(a)       # every El1/El2 bivector is simple
+    return a._space is not Space.EL3 or abs(_plucker(*_halves(a)[2:])) <= epsilon()
 
 
 def is_clifford_bivector(a: MultivectorLike) -> bool:
-    """True when I*a = +-a within tolerance (El3 only)."""
+    """True when a is an El3 bivector (or zero) with I*a = +-a within tolerance."""
     a = as_multivector(a)
-    return a._space is Space.EL3 and _clifford(*_bivector_pair(a))
+    return a._space is Space.EL3 and a.grades() in ((), (2,)) and _clifford(*_halves(a)[2:])
 
 
 def _norm(a: Multivector) -> float:
     """norm(a), but inf wherever the squares overflow."""
     if a._space is Space.EL3 and a.grades() == (2,):
-        n2, w = _bivector_pair(a)
-        if not (_simple(n2, w) or _clifford(n2, w)):
-            raise NonSimpleBivector(f"norm undefined: plucker residual {plucker_residual(a):.3e}")
+        _, _, c, d = _halves(a)
+        residual = _plucker(c, d)
+        if not (abs(residual) <= epsilon() or _clifford(c, d)):
+            raise NonSimpleBivector(f"norm undefined: plucker residual {residual:.3e}")
     return coeff_norm(a)
 
 
@@ -817,18 +826,24 @@ def _exp_simple(b: Multivector) -> Multivector:
 def axis_split(b: Multivector):
     """Split an El3 bivector into complementary commuting parts.
 
-    Returns (b1, b2, degenerate), branching on the (n2, w) of
-    _bivector_pair.  Simple input gives b1 = b, b2 = 0; for a Clifford
-    bivector the split is not unique and the origin line and its polar
-    come back with degenerate = True; otherwise b1 = b(1 - c1 I)/(1 - c1^2)
-    is the larger axis, with c1 = (w/2)/x1 a ratio of the pair.
+    Returns (b1, b2, degenerate), deciding on the halves' lengths (_halves).
+    Simple input gives b1 = b, b2 = 0.  When b is Clifford, or within
+    sqrt(tolerance) of it, the split is not unique or ill-conditioned, and
+    the origin line and its polar come back with degenerate = True;
+    otherwise b1 = b(1 - c1 I)/(1 - c1^2) is the larger axis, with
+    c1 = (w/2)/x1 a ratio of <b ~b>_0 and <b^b>_4, read off b scaled to unit
+    size by a power of two wherever their squares would leave the normal floats.
     """
-    n2, w = _bivector_pair(b)
-    if _simple(n2, w):
+    _, _, c, d = _halves(b)
+    if abs(_plucker(c, d)) <= epsilon():
         return b, Multivector.zero(b.space), False
-    if _clifford(n2, w):
+    big = max(c, d)
+    r = min(c, d) / big
+    if 2.0 * r <= math.sqrt(epsilon()) * (1.0 + r * r):
         b1 = Multivector.from_terms(b.space, {n: b.coeff(n) for n in ("e23", "e31", "e12")})
         return b1, b - b1, True
+    unit = b if 2.0 ** -200 < big < 2.0 ** 200 else b * math.ldexp(1.0, -math.frexp(big)[1])
+    n2, w = _sum_squares(unit._c), outer(unit, unit).pseudo_part
     x1 = -0.5 * (n2 + math.sqrt(n2 * n2 - w * w))  # larger axis: more negative square
     c1 = (w / 2.0) / x1
     inv = (Multivector.scalar(b.space, 1.0) - dual_I(Multivector.scalar(b.space, c1))) * (
@@ -884,10 +899,11 @@ def orbit(
     square = inner(b, b).scalar_part
     if abs(square + 1.0) > max(eps, _UNIT_ROUNDING):
         raise AlgebraError(f"orbit generator must be unit: b.b = {square!r}, not -1")
-    if not is_simple_bivector(b):
+    residual = _plucker(*_halves(b)[2:]) if b.space is Space.EL3 else 0.0
+    if abs(residual) > eps:
         raise NonSimpleBivector(
             f"orbit generator must be simple: plucker residual "
-            f"{plucker_residual(b):.3e} exceeds tolerance {eps:.1g}"
+            f"{residual:.3e} exceeds tolerance {eps:.1g}"
         )
     bx = geometric_product(b, x)
     xb = geometric_product(x, b)

@@ -17,6 +17,8 @@ from typing import Literal, Tuple, Union
 from . import geometry
 from .algebra import (
     epsilon,
+    _clifford,
+    _halves,
     AlgebraError,
     Multivector,
     MultivectorLike,
@@ -44,7 +46,7 @@ ORIGIN = Multivector.basis(_S, "e123")
 
 
 class DegenerateAxes(AlgebraError):
-    """Axis decomposition is not unique (Clifford-parallel configuration)."""
+    """Axis decomposition is not unique (Clifford, or within sqrt(tolerance) of it)."""
 
 
 class NonOriginLine(AlgebraError):
@@ -188,9 +190,9 @@ def angle_line_plane(line: MultivectorLike, a: MultivectorLike) -> float:
 class AxisDecomposition(Record):
     """Complementary axes of a bivector: larger + smaller = input.
 
-    The axes satisfy L1.L2 = 0 and L1 x L2 = 0.  When the input is a
-    Clifford bivector the split is not unique; the canonical origin-line
-    split is returned with degenerate = True.
+    The axes satisfy L1.L2 = 0 and L1 x L2 = 0.  When the input is Clifford,
+    or within sqrt(tolerance) of it, the split is not unique or ill-conditioned;
+    the canonical origin-line split is returned with degenerate = True.
     """
 
     __slots__ = ("larger", "smaller", "degenerate")
@@ -215,8 +217,8 @@ def axis_decompose(b: MultivectorLike) -> AxisDecomposition:
 class CliffordFrame(Record):
     """Origin-line frame attached to a normalised line.
 
-    minus/plus carry the differences/sums of the momentum and direction
-    parts of the line ((p10 -+ p23) e23 + ...); the perp companions are
+    plus and minus are the origin lines along 2C and -2D for the line's
+    halves C and D ((p10 +- p23) e23 + ...); the perp companions are
     deterministic perpendicular origin lines anchoring the phi = 0 phase.
     """
 
@@ -249,9 +251,7 @@ def _length(v: _Vec3) -> float:
 
 
 def _origin_line(direction: _Vec3) -> Multivector:
-    return Multivector.from_terms(_S, {
-        "e23": direction[0], "e31": direction[1], "e12": direction[2],
-    })
+    return Multivector.from_terms(_S, dict(zip(("e23", "e31", "e12"), direction)))
 
 
 def _perp_origin_line(direction: _Vec3) -> Multivector:
@@ -267,17 +267,10 @@ def _perp_origin_line(direction: _Vec3) -> Multivector:
 def clifford_frame(line: MultivectorLike) -> CliffordFrame:
     """Frame of origin lines generating the parallel parametrisation."""
     ln = normalized(_require_line(line))
-    p10, p20, p30 = ln.coeff("e10"), ln.coeff("e20"), ln.coeff("e30")
-    p23, p31, p12 = ln.coeff("e23"), ln.coeff("e31"), ln.coeff("e12")
-    minus = (p10 - p23, p20 - p31, p30 - p12)
-    plus = (p10 + p23, p20 + p31, p30 + p12)
-    return CliffordFrame(
-        line=ln,
-        minus=_origin_line(minus),
-        plus=_origin_line(plus),
-        minus_perp=_perp_origin_line(minus),
-        plus_perp=_perp_origin_line(plus),
-    )
+    C, D, _, _ = _halves(ln)
+    minus, plus = tuple([-2.0 * x for x in D]), tuple([2.0 * x for x in C])
+    return CliffordFrame(ln, _origin_line(minus), _origin_line(plus),
+                         _perp_origin_line(minus), _perp_origin_line(plus))
 
 
 def _omega(axis: Multivector, axis_perp: Multivector, phi: float, theta: float) -> Multivector:
@@ -306,22 +299,24 @@ class CliffordBivector(Record):
     report_order = ("sign", "value")      # scene.serialize_value writes the sign first
 
     def __init__(self, value: Multivector, sign: Family):
-        if not _fixed_by_I(as_multivector(value), sign):
+        if sign not in _families(as_multivector(value)):
             raise ValueError("I*value does not match the declared sign")
         self._fill(value, sign)
 
     @classmethod
     def from_bivector(cls, mv: MultivectorLike) -> "CliffordBivector":
         mv = as_multivector(mv)
-        for sign in Family:
-            if _fixed_by_I(mv, sign):
-                return cls(mv, sign)
+        for sign in _families(mv):
+            return cls(mv, sign)
         raise ValueError("bivector is not fixed by the pseudoscalar (not Clifford)")
 
 
-def _fixed_by_I(v: Multivector, sign: Family) -> bool:
-    """I*v = v (positive) or -v (negative), relative to |v| within tolerance."""
-    return coeff_norm(dual_I(v) - v * _SIGN[sign]) <= epsilon() * max(coeff_norm(v), 1e-300)
+def _families(v: Multivector) -> Tuple[Family, ...]:
+    """The families with I*v = sign*v (is_clifford_bivector); both for zero."""
+    if not is_clifford_bivector(v):
+        return ()
+    _, _, c, d = _halves(v)
+    return (Family.POSITIVE,) * (d <= c) + (Family.NEGATIVE,) * (c <= d)
 
 
 def clifford_bivector(line: MultivectorLike, sign: Union[Family, str]) -> CliffordBivector:
@@ -370,48 +365,36 @@ class LineLineMetrics(Record):
         self._fill(r, alpha, r1, r2, relation)
 
 
-def line_line_metrics(
-    line: MultivectorLike, other: MultivectorLike
-) -> LineLineMetrics:
+def line_line_metrics(line: MultivectorLike, other: MultivectorLike) -> LineLineMetrics:
     """Distance, angle and relation of two lines.
 
-    With u = L.Phi and v = L v Phi on normalised lines,
-    2 sin^2 r = 1 + v^2 - u^2 - sqrt((1 + v^2 - u^2)^2 - 4 v^2) and
-    cos alpha = -u / cos r.  The separations satisfy
-    cos r1 cos r2 = |u| and sin r1 sin r2 = |v|.  Skew lines are Clifford
-    parallel when their commutator is a Clifford bivector or vanishes
-    within tolerance (a line and its polar).
+    With u = L.Phi and v = L v Phi on normalised lines, the separations
+    r1 <= r2 satisfy cos r1 cos r2 = |u| and sin r1 sin r2 = |v|.  The
+    commutator L x Phi has halves of lengths sin(r2 - r1)/2 (near) and
+    sin(r1 + r2)/2 (far), the self-dual one near when u*v > 0, so
+    r2 - r1 = atan2(2 near, |u| + |v|) and r1 + r2 = atan2(2 far, |u| - |v|)
+    without cancellation.  r = r1 and cos alpha = -u / cos r.  Skew lines
+    are Clifford parallel when the commutator passes the Clifford test or
+    vanishes within tolerance (a line and its polar), and generic otherwise.
     """
-    eps = epsilon()
     ln = normalized(_require_line(line))
     on = normalized(_require_line(other, "other line"))
     u = inner(ln, on).scalar_part
     v = regressive(ln, on).scalar_part
-    if abs(v) <= eps:
+    comm = commutator(ln, on)
+    _, _, c, d = _halves(comm)
+    if abs(v) <= epsilon():
         relation = LineRelation.INTERSECTING
+    elif coeff_norm(comm) <= epsilon() or _clifford(c, d):
+        relation = LineRelation.CLIFFORD_PARALLEL
     else:
-        comm = commutator(ln, on)
-        if coeff_norm(comm) <= eps or is_clifford_bivector(comm):
-            relation = LineRelation.CLIFFORD_PARALLEL
-        else:
-            relation = LineRelation.GENERIC
-    if relation is LineRelation.CLIFFORD_PARALLEL:
-        # the quadratic discriminant vanishes here and its square root
-        # would cost half the working precision; the constant-separation
-        # relations give sin^2 r = |v| directly
-        sin2 = min(abs(v), 1.0)
-    else:
-        a = 1.0 + v * v - u * u
-        disc = max(a * a - 4.0 * v * v, 0.0)
-        sin2 = max(min(0.5 * (a - math.sqrt(disc)), 1.0), 0.0)
-    r = math.asin(math.sqrt(sin2))
-    cos_r = math.cos(r)
-    if cos_r > 1e-12:
-        alpha = math.acos(max(-1.0, min(1.0, -u / cos_r)))
-    else:
-        alpha = math.pi / 2
-    r2 = alpha if alpha <= math.pi / 2 else math.pi - alpha
-    return LineLineMetrics(r=r, alpha=alpha, r1=r, r2=r2, relation=relation)
+        relation = LineRelation.GENERIC
+    near, far = (c, d) if u * v > 0 else (d, c)
+    gap = math.atan2(2.0 * near, abs(u) + abs(v))       # r2 - r1
+    span = math.atan2(2.0 * far, abs(u) - abs(v))       # r1 + r2
+    r1, r2 = max(0.5 * (span - gap), 0.0), 0.5 * (span + gap)
+    alpha = r2 if u <= 0.0 else math.pi - r2
+    return LineLineMetrics(r=r1, alpha=alpha, r1=r1, r2=r2, relation=relation)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +439,7 @@ def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
     b1, b2, degenerate = axis_split(comm)
     if degenerate:
         raise DegenerateAxes(
-            "commutator axes are not unique (Clifford-parallel lines)"
+            "commutator axes are not unique (Clifford, or within √tolerance of it)"
         )
     return (pn, ln, b1, b2) if kind == 1 else (pn, ln, b2, b1)
 

@@ -16,7 +16,9 @@ from .algebra import (
     MultivectorLike,
     NonSimpleBivector,
     Space,
+    _halves,
     _involute,
+    _plucker,
     as_multivector,
     coeff_norm,
     commutator,
@@ -24,10 +26,8 @@ from .algebra import (
     geometric_product,
     inner,
     inverse_blade,
-    is_simple_bivector,
     normalized,
     outer,
-    plucker_residual,
     regressive,
     tables,
 )
@@ -56,11 +56,12 @@ def check_blade(
         raise ValueError(f"{what} must be a grade-{grade} {space.value} element")
     if nonzero and coeff_norm(mv) <= epsilon():
         raise ValueError(f"{what} must be a nonzero element")
-    if role == "line" and space is Space.EL3 and not is_simple_bivector(mv):
-        raise NonSimpleBivector(
-            f"{what}: plücker residual {plucker_residual(mv):.3e} "
-            f"exceeds tolerance {epsilon():.1g}"
-        )
+    if role == "line" and space is Space.EL3:
+        residual = _plucker(*_halves(mv)[2:])       # the residual over |mv|**2
+        if abs(residual) > epsilon():
+            raise NonSimpleBivector(
+                f"{what}: plücker residual {residual:.3e} exceeds tolerance {epsilon():.1g}"
+            )
     return mv
 
 

@@ -533,6 +533,18 @@ def test_orbit_rejects_bad_generators(rng):
         orbit(Multivector.from_terms(Space.EL3, {"e10": 0.6, "e23": 0.8}), x)
 
 
+def test_plucker_messages_print_the_scale_free_residual():
+    # they printed the unscaled residual, -inf once its squares overflowed;
+    # the value decided on is the residual over |b|**2 = -1e-3 / 2.000001
+    b = Multivector.from_terms(Space.EL3, {"e10": 1.0, "e23": 1e-3, "e20": 1.0})
+    for scale in (1.0, 1e200, 1e-200):
+        with pytest.raises(NonSimpleBivector, match="norm undefined: plucker residual -5.000e-04$"):
+            norm(b * scale)
+    with pytest.raises(NonSimpleBivector, match="plucker residual -4.800e-01 exceeds"):
+        orbit(Multivector.from_terms(Space.EL3, {"e10": 0.6, "e23": 0.8}),
+              Multivector.basis(Space.EL3, "e123"))
+
+
 def test_coeff_norm_is_the_root_of_the_slot_order_sum_of_squares(rng):
     for scale in (1.0, 1e-160, 1e-200, 1e150, 1e200):   # 1e200 overflows to inf
         for space in SPACES:

@@ -300,6 +300,42 @@ def test_cli_nearly_opposite_lines_are_generic_not_clifford_parallel(tmp_path):
     # 1e-10, as for other derived quantities: 1 - u**2 cancels for |u| near 1
     assert math.isclose(math.sin(m["r1"]) * math.sin(m["r2"]), sines, rel_tol=1e-10)
     assert math.isclose(math.cos(m["r1"]) * math.cos(m["r2"]), cosines, rel_tol=1e-12)
+    # the separations come from the commutator's halves, which do not cancel there
+    assert math.isclose(math.sin(m["r1"]) * math.sin(m["r2"]), sines, rel_tol=1e-14)
+
+
+def test_cli_a_bivector_within_sqrt_tolerance_of_clifford(tmp_path):
+    # d/c = 1e-6: norm answered and is_clifford_bivector held, while
+    # clifford_translate refused it; now both refuse, and the split is still degenerate
+    entities = {"B": {"role": "bivector", "coeffs": {"e10": 1 + 1e-6, "e23": 1 - 1e-6}},
+                "P": {"role": "point", "coeffs": {"e123": 1}}}
+    for op, args in (("norm", ["B"]), ("clifford_translate", ["P", "B", 0.5])):
+        scene = tmp_path / f"{op}.json"
+        scene.write_text(json.dumps({"space": "el3", "entities": entities,
+                                     "queries": [{"name": op, "op": op, "args": args}]}))
+        result = run_cli("eval", str(scene))
+        assert result.returncode == 2, (op, result.stdout)
+        assert f"query {op!r}" in result.stderr and "Traceback" not in result.stderr
+    dec = eval_el3(tmp_path, {"B": ("bivector", entities["B"]["coeffs"])}, "axis_decompose", "B")
+    assert dec["degenerate"]
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ({"e10": 1e200, "e23": 1e197}, -1e-3 / (1 + 1e-6)),          # printed -inf
+    # the halves' lengths overflow too; printed nan
+    ({"e10": 1.7e308, "e20": -1.7e308, "e30": 0.85e308, "e23": 1.7e308, "e31": 1.7e308,
+      "e12": 1.7e308}, -0.5 / 5.25),
+], ids=["squares", "halves"])
+def test_cli_plucker_message_of_a_line_whose_squares_overflow(tmp_path, coeffs, want):
+    # the message printed the residual of the unscaled element; now the residual over |b|**2
+    bad = tmp_path / "huge_line.json"
+    bad.write_text(json.dumps({
+        "space": "el3", "entities": {"L": {"role": "line", "coeffs": coeffs}}, "queries": [],
+    }))
+    result = run_cli("eval", str(bad))
+    assert result.returncode == 1
+    residual = re.search(r"plücker residual (\S+) exceeds tolerance", result.stderr).group(1)
+    assert math.isclose(float(residual), want, rel_tol=1e-3)
 
 
 def test_cli_axis_decompose_of_a_bivector_whose_squares_overflow(tmp_path):

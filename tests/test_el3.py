@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from elga.algebra import (
@@ -208,6 +208,42 @@ def test_axis_split_is_scale_free_and_agrees_with_the_structure_tests(kind, seed
     assert simple == (kind == "line") and clifford == (kind == "clifford")
     assert degenerate == (clifford and not simple)
     assert simple == (not any(b2.coeffs))
+
+
+def _near_clifford(rng, ratio, family):
+    """A bivector whose self-dual and anti-self-dual halves have lengths 1 and
+    ratio (swapped for the negative family): L + IL has only a self-dual
+    half, of length 1, and M - IM only an anti-self-dual one."""
+    line, other = rand_line_el3(rng), rand_line_el3(rng)
+    self_dual, anti = line + dual_I(line), other - dual_I(other)
+    if family is el3.Family.POSITIVE:
+        return self_dual + anti * ratio
+    return self_dual * ratio + anti
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(0, 12),
+       family=st.sampled_from(list(el3.Family)), k=st.integers(-1074, 1023))
+@example(seed=1, j=6, family=el3.Family.POSITIVE, k=0)
+def test_is_clifford_bivector_holds_exactly_when_from_bivector_succeeds(seed, j, family, k):
+    # j = 0 draws an exact Clifford bivector, j >= 1 one with d/c = 10**-j
+    b = _near_clifford(np.random.default_rng(seed), 10.0 ** -j if j else 0.0, family)
+    scaled = b * math.ldexp(1.0, k)
+    assume(all(map(math.isfinite, scaled.coeffs)))
+    try:
+        sign = el3.CliffordBivector.from_bivector(scaled).sign
+    except ValueError:
+        sign = None
+    assert is_clifford_bivector(scaled) == (sign is not None)
+    if all(math.ldexp(x, -k) == y for x, y in zip(scaled.coeffs, b.coeffs)):   # exact
+        # Clifford: 2 d <= 1e-9 hypot(c, d), so from d/c = 1e-10 on
+        assert sign is (family if j == 0 or j >= 10 else None)
+
+
+def test_the_zero_bivector_is_simple_clifford_and_positive():
+    for zero in (Multivector.zero(S), Multivector.from_terms(S, {"e12": 0.0})):
+        assert is_simple_bivector(zero) and is_clifford_bivector(zero)
+        assert el3.CliffordBivector.from_bivector(zero).sign is el3.Family.POSITIVE
 
 
 def test_axis_decompose_rejects_zero_and_wrong_grade():
@@ -423,6 +459,41 @@ def test_metrics_clifford_parallel_distance(rng):
     assert m.relation is el3.LineRelation.CLIFFORD_PARALLEL
     assert abs(m.r - abs(math.pi / 2 - theta)) < 1e-10
     assert abs(m.r1 - m.r2) < 1e-10
+
+
+def _principal_angles(a, b):
+    """Principal angles between the column spans of a and b, by float64 SVD:
+    atan2 of the sines and cosines."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    cos = np.sort(np.linalg.svd(qa.T @ qb, compute_uv=False))[::-1]
+    sin = np.sort(np.linalg.svd(qb - qa @ (qa.T @ qb), compute_uv=False))
+    return np.arctan2(sin, cos)
+
+
+def _line_pair(rng, kind):
+    """Two lines of El3 as the 2-planes of R^4 spanned by the columns of a and b."""
+    p, q, s, t = rng.standard_normal((4, 4))
+    if kind == "near-intersecting":
+        s = p + 1e-7 * rng.standard_normal(4)
+    elif kind == "near-clifford-parallel":
+        # a Clifford translation (unit quaternion factor) of the first line, perturbed
+        g = rng.standard_normal(4)
+        g = tuple(g / np.linalg.norm(g))
+        s, t = (np.array(el3.quaternion_multiply(tuple(x), g)) for x in (p, q))
+        s = s + 10.0 ** -rng.uniform(3, 8) * rng.standard_normal(4)
+    return np.array([p, q]).T, np.array([s, t]).T
+
+
+@pytest.mark.parametrize("kind", ["generic", "near-intersecting", "near-clifford-parallel"])
+def test_metrics_separations_match_svd_principal_angles(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        a, b = _line_pair(rng, kind)
+        lines = [regressive(point(*x[:, 0]), point(*x[:, 1])) for x in (a, b)]
+        m = el3.line_line_metrics(*lines)
+        want = _principal_angles(a, b)
+        assert abs(m.r1 - want[0]) <= 1e-14 and abs(m.r2 - want[1]) <= 1e-14
+        assert m.r == m.r1
 
 
 # ---------------------------------------------------------------------------
