@@ -189,7 +189,7 @@ def _merge_sign(a: int, b: int) -> float:
 def _parse_indices(name: str, dim: int) -> Tuple[Tuple[int, ...], float]:
     """Parse 'e<digits>' into sorted indices and the permutation sign."""
     digits = name[1:]
-    if not digits or not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid blade name {name!r}")
     idx = [int(ch) for ch in digits]
     if len(set(idx)) != len(idx):
@@ -460,15 +460,17 @@ def _new(space: Space, c: Tuple[float, ...], mask: int) -> Multivector:
 
 
 def _blade_slot(space: Space, name: str) -> Tuple[int, float]:
-    t = _TABLES[space]
-    hit = t.name_to_slot.get(name)
-    if hit is not None:
-        return hit
-    if not name.startswith("e"):
-        raise ValueError(f"invalid blade name {name!r}")
-    indices, sign = _parse_indices(name, space.dim)
-    slot = sum(1 << i for i in indices)
-    return slot, sign
+    hit = _TABLES[space].name_to_slot.get(name)
+    if hit is None:
+        _refuse_name(space, name)
+    return hit
+
+
+def _refuse_name(space: Space, name: object) -> None:
+    """Raise ValueError for a name outside the space's name table, saying why."""
+    if isinstance(name, str) and name.startswith("e"):
+        _parse_indices(name, space.dim)      # raises for a repeated or out-of-range index
+    raise ValueError(f"invalid blade name {name!r}")
 
 
 def format_terms(a: Multivector) -> str:
@@ -918,25 +920,55 @@ def orbit(
 def to_coeff_dict(a: MultivectorLike) -> Dict[str, float]:
     """{"name": coefficient} in display names; exact zeros omitted."""
     a = as_multivector(a)
-    t = _TABLES[a.space]
-    return {name: sign * c for name, sign, c in zip(t.names, t.name_signs, a._c) if c != 0.0}
+    t = _TABLES[a._space]
+    return {name: sign * c for name, sign, c in zip(t.names, t.name_signs, a._c) if c}
 
 
 def to_json_dict(a: MultivectorLike) -> Dict[str, object]:
     a = as_multivector(a)
-    return {"space": a.space.value, "coeffs": to_coeff_dict(a)}
+    return {"space": a._space._value_, "coeffs": to_coeff_dict(a)}
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def from_coeff_dict(space: Space, coeffs: Mapping[str, float]) -> Multivector:
-    """Inverse of to_coeff_dict; unknown keys are rejected."""
-    if not isinstance(coeffs, Mapping):
+    """Inverse of to_coeff_dict, in one pass over the items.
+
+    Names may list a blade's indices in any order ("e21" is -"e12") and
+    "I" names the pseudoscalar, but each blade may be named once.  A value
+    that is not a finite number raises ValueError naming its key; then an
+    unknown name raises naming it, and a second name for a blade naming
+    both spellings.
+    """
+    if type(coeffs) is not dict and not isinstance(coeffs, Mapping):
         raise ValueError("coeffs must be an object of blade name -> number")
-    for k, v in coeffs.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"coefficient of {k!r} must be a number")
-        if not abs(v) <= sys.float_info.max:
-            raise ValueError(f"coefficient of {k!r} must be a finite number")
-    return Multivector.from_terms(space, coeffs)
+    t = _TABLES[space]
+    lookup, grades = t.name_to_slot.get, t.grades
+    c = [0.0] * t.size
+    mask = named = 0            # grade mask; bit s of named: slot s has a name
+    for name, v in coeffs.items():
+        if type(v) is not float and (not isinstance(v, (int, float)) or isinstance(v, bool)):
+            raise ValueError(f"coefficient of {name!r} must be a number")
+        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            raise ValueError(f"coefficient of {name!r} must be a finite number")
+        hit = lookup(name)
+        if hit is None:
+            continue
+        slot = hit[0]
+        named |= 1 << slot
+        c[slot] = hit[1] * float(v) + 0.0      # + 0.0: a zero loads as +0.0, whatever its sign
+        mask |= 1 << grades[slot]
+    if named.bit_count() != len(coeffs):      # an unknown name, or a blade named twice
+        for name in coeffs:
+            if lookup(name) is None:
+                _refuse_name(space, name)
+        seen: Dict[int, str] = {}
+        for name in coeffs:
+            first = seen.setdefault(lookup(name)[0], name)
+            if first != name:
+                raise ValueError(f"{first!r} and {name!r} name the same blade")
+    return _new(space, tuple(c), mask)
 
 
 def from_json_dict(obj: Mapping[str, object]) -> Multivector:

@@ -41,7 +41,7 @@ from .algebra import (
     Record,
     Space,
     from_coeff_dict,
-    to_json_dict,
+    to_coeff_dict,
 )
 
 
@@ -62,9 +62,12 @@ class Query(Record):
     __slots__ = ("name", "op", "args")
 
     def __init__(self, name: str, op: str, args: Tuple[object, ...]):
-        object.__setattr__(self, "name", name)      # one per query: no _fill loop
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
+        _set_name(self, name)       # one per query: the slots' own setters, no _fill loop
+        _set_op(self, op)
+        _set_args(self, args)
+
+
+_set_name, _set_op, _set_args = (Query.__dict__[field].__set__ for field in Query.__slots__)
 
 
 # what `elga figure` can draw from a scene (figures.build_figure)
@@ -95,32 +98,41 @@ def _validate_entity(space: Space, name: str, role: str, mv: Multivector) -> Non
         raise SceneError(f"entity {name!r}: {e}")
 
 
-def _check_keys(obj: Mapping, allowed: frozenset, where: str, *args) -> None:
-    """Refuse a key outside allowed, naming it and where % args, its object."""
-    if not allowed.issuperset(obj):
-        key = next(k for k in obj if k not in allowed)
-        raise SceneError(f"{where % args}: unknown key {key!r} "
-                         f"(expected {', '.join(sorted(allowed))})")
+def _refuse_key(obj: Mapping, allowed: frozenset, where: str) -> None:
+    """Raise SceneError naming the first key of obj outside allowed; where names obj."""
+    key = next(k for k in obj if k not in allowed)
+    raise SceneError(f"{where}: unknown key {key!r} (expected {', '.join(sorted(allowed))})")
+
+
+def _is_list(x) -> bool:
+    """A JSON array: any sequence but a string."""
+    return isinstance(x, Sequence) and not isinstance(x, str)
 
 
 def load_scene(obj: Mapping[str, object]) -> Scene:
-    """Validate and bind a parsed scene JSON object."""
-    if not isinstance(obj, Mapping):
+    """Validate and bind a parsed scene JSON object.
+
+    Exact dicts and lists (what json.load gives) skip the Mapping and
+    Sequence checks that any other mapping or sequence goes through.
+    """
+    if type(obj) is not dict and not isinstance(obj, Mapping):
         raise SceneError("scene must be a JSON object")
-    _check_keys(obj, _SCENE_KEYS, "scene")
+    if not _SCENE_KEYS.issuperset(obj):
+        _refuse_key(obj, _SCENE_KEYS, "scene")
     try:
         space = Space.from_tag(obj.get("space"))
     except ValueError as e:
         raise SceneError(str(e))
     raw_entities = obj.get("entities", {})
-    if not isinstance(raw_entities, Mapping):
+    if type(raw_entities) is not dict and not isinstance(raw_entities, Mapping):
         raise SceneError("entities must be an object")
     entities: Dict[str, Multivector] = {}
     roles: Dict[str, str] = {}
     for name, spec in raw_entities.items():
-        if not isinstance(spec, Mapping):
+        if type(spec) is not dict and not isinstance(spec, Mapping):
             raise SceneError(f"entity {name!r} must be an object")
-        _check_keys(spec, _ENTITY_KEYS, "entity %r", name)
+        if not _ENTITY_KEYS.issuperset(spec):
+            _refuse_key(spec, _ENTITY_KEYS, f"entity {name!r}")
         role = spec.get("role", "any")
         coeffs = spec.get("coeffs")
         if coeffs is None:
@@ -133,34 +145,32 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
         entities[name] = mv
         roles[name] = role
     raw_queries = obj.get("queries", [])
-    if not isinstance(raw_queries, Sequence) or isinstance(raw_queries, str):
+    if type(raw_queries) is not list and not _is_list(raw_queries):
         raise SceneError("queries must be a list")
     ops = op_registry(space)
     queries: List[Query] = []
     names: Dict[str, int] = {}
     for i, q in enumerate(raw_queries):
-        if not isinstance(q, Mapping):
+        if type(q) is not dict and not isinstance(q, Mapping):
             raise SceneError(f"query #{i} must be an object")
-        _check_keys(q, _QUERY_KEYS, "query #%d", i)
+        if not _QUERY_KEYS.issuperset(q):
+            _refuse_key(q, _QUERY_KEYS, f"query #{i}")
         op = q.get("op")
         if not isinstance(op, str) or op not in ops:
             raise SceneError(f"query #{i}: unknown op {op!r} for {space.value}")
-        args = q.get("args", [])
-        if not isinstance(args, Sequence) or isinstance(args, str):
+        args = q.get("args", ())
+        if type(args) is not list and not _is_list(args):
             raise SceneError(f"query #{i}: args must be a list")
-        name = q.get("name", f"q{i}")
+        name = q["name"] if "name" in q else f"q{i}"
         if not isinstance(name, str):
             raise SceneError(f"query #{i}: name must be a string, got {name!r}")
         if name in names:
             raise SceneError(f"query #{i}: name {name!r} is already used by query #{names[name]}")
         names[name] = i
-        spec = ops[op]
-        if len(args) != len(spec.arg_kinds):
-            raise SceneError(
-                f"query {name!r}: op {op!r} takes {len(spec.arg_kinds)} args, "
-                f"got {len(args)}"
-            )
-        for a, kind in zip(args, spec.arg_kinds):
+        kinds = ops[op].arg_kinds
+        if len(args) != len(kinds):
+            raise SceneError(f"query {name!r}: op {op!r} takes {len(kinds)} args, got {len(args)}")
+        for a, kind in zip(args, kinds):
             if kind in ("mv", "xi"):
                 if not isinstance(a, str) or a not in entities:
                     raise SceneError(f"query {name!r}: unknown entity {a!r}")
@@ -169,13 +179,13 @@ def load_scene(obj: Mapping[str, object]) -> Scene:
                 _CONVERT[kind](a)
             except (TypeError, ValueError) as e:
                 raise SceneError(f"query {name!r}: {e}")
-        queries.append(Query(name=name, op=op, args=tuple(args)))
+        queries.append(Query(name, op, tuple(args)))
     figure = obj.get("figure", {})
-    if not isinstance(figure, Mapping):
+    if type(figure) is not dict and not isinstance(figure, Mapping):
         raise SceneError("figure must be an object")
-    _check_keys(figure, _FIGURE_KEYS, "figure")
-    return Scene(space=space, entities=entities, roles=roles,
-                 queries=tuple(queries), figure=dict(figure))
+    if not _FIGURE_KEYS.issuperset(figure):
+        _refuse_key(figure, _FIGURE_KEYS, "figure")
+    return Scene(space, entities, roles, tuple(queries), dict(figure))
 
 
 def load_scene_file(path: str) -> Scene:
@@ -284,11 +294,20 @@ def _round_sig(x: float, digits: int) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def _finite_json(mv: Multivector) -> Dict[str, object]:
-    obj = to_json_dict(mv)
-    if not all(map(math.isfinite, obj["coeffs"].values())):
+class _CoeffObject(dict):
+    """The {"space", "coeffs"} object of a multivector result, as
+    serialize_value builds it: finite floats under display names.  A plain
+    dict to json.dumps and ==; report_to_json writes it with one cached
+    format, trusting that shape."""
+
+    __slots__ = ()
+
+
+def _coeff_object(mv: Multivector) -> _CoeffObject:
+    c = mv._c
+    if not math.isfinite(sum(c)) and not all(map(math.isfinite, c)):   # a finite sum: all are
         raise ValueError("result has a coefficient that is not finite")
-    return obj
+    return _CoeffObject(space=mv._space._value_, coeffs=to_coeff_dict(mv))
 
 
 def serialize_value(value):
@@ -299,17 +318,19 @@ def serialize_value(value):
     JSON round-trips to bit-identical coefficients.  A non-finite number
     has no JSON form and raises ValueError.
     """
+    if type(value) is Multivector:
+        return _coeff_object(value)
+    if isinstance(value, float):            # ahead of the .mv probe, which a float fails slowly
+        if not math.isfinite(value):
+            raise ValueError(f"result {value!r} is not finite")
+        return _round_sig(value, 15)
     mv = value if isinstance(value, Multivector) else getattr(value, "mv", None)
     if isinstance(mv, Multivector):        # blade views and spinors carry .mv
-        return _finite_json(mv)
+        return _coeff_object(mv)
     if isinstance(value, bool):
         return value
     if isinstance(value, (int,)):
         return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"result {value!r} is not finite")
-        return _round_sig(value, 15)
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, Record):
@@ -337,20 +358,81 @@ def evaluate_scene(scene: Scene) -> Dict[str, object]:
 
 def report_to_json(report: Mapping[str, object]) -> str:
     """json.dumps(report, indent=2) + "\n" for a tree of dicts with string
-    keys, lists, str, int, float, bool and None, NaN and Infinity included;
-    written directly, as the stdlib encoder runs in pure Python when it indents."""
-    out: List[str] = []
+    keys, lists, str, int, float, bool and None, NaN and Infinity included.
+
+    The stdlib encoder runs in pure Python when it indents, so the text is
+    written here.  A report of evaluate_scene's shape ({"space", "results":
+    [{"name", "op", "value"}, ...]} with string names and ops) is written
+    straight from that shape, and each value through the generic walk;
+    any other tree takes the walk from its root.  The walk writes
+    serialize_value's coefficient objects with one %-format per (space,
+    blade names, indent), kept in a bounded cache.
+    """
+    if type(report) is dict and tuple(report) == _REPORT_KEYS:
+        space, results = report["space"], report["results"]
+        if type(space) is str and type(results) is list:
+            out = ['{\n  "space": ', _STR(space), ',\n  "results": ']
+            if _write_results(results, out):
+                return "".join(out)
+    out = []
     _write_json(report, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
 _STR = json.encoder.encode_basestring_ascii    # json.dumps' ensure_ascii quoting
+_REPORT_KEYS = ("space", "results")
+_RESULT_KEYS = ("name", "op", "value")
+_RESULT = '%s\n    {\n      "name": %s,\n      "op": %s,\n      "value": '
+
+
+def _write_results(results: list, out: List[str]) -> bool:
+    """Append the results list and the report's end; False, with out
+    unfinished, when a result is not a {"name", "op", "value"} dict with
+    string name and op."""
+    if not results:
+        out.append("[]\n}\n")
+        return True
+    sep = "["
+    for r in results:
+        if type(r) is not dict or tuple(r) != _RESULT_KEYS:
+            return False
+        name, op, value = r["name"], r["op"], r["value"]
+        if type(name) is not str or type(op) is not str:
+            return False
+        out.append(_RESULT % (sep, _STR(name), _STR(op)))
+        _write_json(value, "\n      ", out)
+        out.append("\n    }")
+        sep = ","
+    out.append("\n  ]\n}\n")
+    return True
+
+
+_FORMATS: Dict[Tuple[str, Tuple[str, ...], str], str] = {}
+_FORMATS_MAX = 1024           # El3 alone has 2**16 blade-name patterns
+
+
+def _coeff_text(obj: _CoeffObject, newline: str) -> str:
+    """obj as json.dumps writes it at this indent, through the format cached
+    for its space, blade names and indent; the cache starts over when full."""
+    space, coeffs = obj["space"], obj["coeffs"]
+    key = (space, tuple(coeffs), newline)
+    fmt = _FORMATS.get(key)
+    if fmt is None:
+        if len(_FORMATS) >= _FORMATS_MAX:
+            _FORMATS.clear()
+        inner = newline + "  "
+        body = ("{" + ",".join(f"{inner}  {_STR(n)}: %r" for n in key[1]) + inner + "}"
+                if coeffs else "{}")
+        fmt = _FORMATS[key] = f'{{{inner}"space": {_STR(space)},{inner}"coeffs": {body}{newline}}}'
+    return fmt % tuple(coeffs.values())
 
 
 def _write_json(x, newline: str, out: List[str]) -> None:
     """Append x as json.dumps(x, indent=2) writes it; newline carries the indent."""
-    if isinstance(x, str):
+    if type(x) is _CoeffObject:
+        out.append(_coeff_text(x, newline))
+    elif isinstance(x, str):
         out.append(_STR(x))
     elif isinstance(x, float):
         out.append(float.__repr__(x) if math.isfinite(x) else

@@ -2,6 +2,7 @@
 inverses, exponentials, JSON round-trips."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -641,6 +642,57 @@ def test_json_unknown_keys_rejected():
         from_coeff_dict(Space.EL2, {"e7": 1.0})
     with pytest.raises(ValueError):
         from_coeff_dict(Space.EL2, {"e0": "three"})
+
+
+@pytest.mark.parametrize("space, coeffs, first, second", [
+    (Space.EL2, {"e21": 1, "e12": 1}, "e21", "e12"),
+    (Space.EL2, {"e0": 1, "I": 2, "e012": 3}, "I", "e012"),
+    (Space.EL3, {"e1": 0.5, "e0123": 1, "e3210": 0}, "e0123", "e3210"),
+    (Space.EL1, {"1": 1, "e01": 1, "e10": 1, "e0": 1}, "e01", "e10"),
+], ids=["el2-transposed", "el2-I", "el3-reversed", "el1-scalar-and-pair"])
+def test_json_a_blade_named_twice_is_refused(space, coeffs, first, second):
+    # summed without a word before: {"e21": 1, "e12": 1} loaded as zero
+    with pytest.raises(ValueError, match=f"^'{first}' and '{second}' name the same blade$"):
+        from_coeff_dict(space, coeffs)
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, ("e1",)], ids=["int", "float", "None", "tuple"])
+def test_json_a_name_that_is_not_a_string_is_refused_by_name(key):
+    with pytest.raises(ValueError, match=re.escape(f"invalid blade name {key!r}")):
+        from_coeff_dict(Space.EL2, {key: 2.0})
+
+
+def test_json_names_outside_the_name_table_are_refused():
+    # only ASCII index digits: str.isdigit alone would read "e\u0662" as e2
+    for name in ("e\u0662", "e\u00b2", "e", "1e", "E1", "i"):
+        with pytest.raises(ValueError, match="invalid blade name"):
+            from_coeff_dict(Space.EL2, {name: 1.0})
+    with pytest.raises(ValueError, match="repeated index"):
+        from_coeff_dict(Space.EL2, {"e11": 1.0})
+    with pytest.raises(ValueError, match="index out of range"):
+        from_coeff_dict(Space.EL2, {"e3": 1.0})
+
+
+def test_json_load_is_the_sum_of_named_terms(rng):
+    # the one-pass load gives what adding the named basis blades gives,
+    # with every name spelt in a random index order
+    for space in SPACES:
+        t = tables(space)
+        for _ in range(20):
+            coeffs = {}
+            want = Multivector.zero(space)
+            for slot in range(space.size):
+                if rng.random() < 0.5:
+                    continue
+                perm = [int(ch) for ch in t.names[slot][1:]]
+                rng.shuffle(perm)
+                name = "e" + "".join(map(str, perm)) if slot else "1"
+                value = float(rng.normal()) if rng.random() < 0.9 else 0
+                coeffs[name] = value
+                want = want + Multivector.basis(space, name) * value
+            mv = from_coeff_dict(space, coeffs)
+            assert mv == want and mv.grades() == want.grades()
+            assert all(math.copysign(1.0, x) == 1.0 for x in mv.coeffs if x == 0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],

@@ -1,5 +1,6 @@
 """CLI and scene layer: evaluation, validation exits, figures, round-trips."""
 
+import collections
 import copy
 import csv
 import hashlib
@@ -10,6 +11,7 @@ import pickle
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 from typing import Literal, Union
 
@@ -35,6 +37,7 @@ from elga.scene import (
     serialize_value,
 )
 from elga import figures
+from elga import scene as scene_mod
 from helpers import assert_mv_close
 
 SCENES = Path(__file__).resolve().parents[1] / "src" / "elga" / "scenes"
@@ -158,14 +161,20 @@ def test_cli_eval_exit_1_on_bad_scene(tmp_path):
     assert "plücker residual" in result.stderr
 
 
-@pytest.mark.parametrize("role, value", [
-    ("point", math.nan), ("any", math.nan), ("any", math.inf), ("any", -math.inf)])
-def test_cli_eval_exit_1_on_non_finite_coefficient(tmp_path, role, value):
-    bad = tmp_path / "non_finite.json"
-    bad.write_text(json.dumps(scene_dict(entities={
+NON_FINITE_CASES = [("point", math.nan), ("any", math.nan), ("any", math.inf), ("any", -math.inf)]
+
+
+def non_finite_scene(role, value):
+    return scene_dict(entities={
         "P": {"role": role, "coeffs": {"e12": 1, "e20": value}},
         "Q": {"role": "point", "coeffs": {"e12": 1, "e01": 2}},
-    })))
+    })
+
+
+@pytest.mark.parametrize("role, value", NON_FINITE_CASES)
+def test_cli_eval_exit_1_on_non_finite_coefficient(tmp_path, role, value):
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(non_finite_scene(role, value)))
     result = run_cli("eval", str(bad))
     assert result.returncode == 1
     assert result.stdout == ""
@@ -175,7 +184,7 @@ def test_cli_eval_exit_1_on_non_finite_coefficient(tmp_path, role, value):
 NORM_P = {"op": "norm", "args": ["P"]}
 
 
-@pytest.mark.parametrize("entity, queries, named", [
+NOT_A_STRING_CASES = [
     ({"role": ["x"]}, [NORM_P], "entity 'P'"),
     ({"role": {"point": 1}}, [NORM_P], "entity 'P'"),
     ({}, [{"op": ["norm"], "args": ["P"]}], "query #0"),
@@ -185,12 +194,19 @@ NORM_P = {"op": "norm", "args": ["P"]}
     ({}, [{"name": "n", **NORM_P}, NORM_P, {"name": "n", **NORM_P}],
      "query #2: name 'n' is already used by query #0"),
     ({}, [{"name": "q1", **NORM_P}, NORM_P], "query #1: name 'q1' is already used by query #0"),
-], ids=["list-role", "object-role", "list-op", "object-op", "list-name", "number-name",
-        "repeated-name", "name-of-an-unnamed-query"])
+]
+
+
+def not_a_string_scene(entity, queries):
+    return {"space": "el2", "queries": queries, "entities": {"P": {"coeffs": {"e12": 1}, **entity}}}
+
+
+@pytest.mark.parametrize("entity, queries, named", NOT_A_STRING_CASES, ids=[
+    "list-role", "object-role", "list-op", "object-op", "list-name", "number-name",
+    "repeated-name", "name-of-an-unnamed-query"])
 def test_cli_eval_exit_1_on_a_role_or_op_that_is_not_a_string(tmp_path, entity, queries, named):
     bad = tmp_path / "unhashable.json"
-    bad.write_text(json.dumps({"space": "el2", "queries": queries,
-                               "entities": {"P": {"coeffs": {"e12": 1}, **entity}}}))
+    bad.write_text(json.dumps(not_a_string_scene(entity, queries)))
     result = run_cli("eval", str(bad))
     assert result.returncode == 1
     assert result.stdout == ""
@@ -198,13 +214,17 @@ def test_cli_eval_exit_1_on_a_role_or_op_that_is_not_a_string(tmp_path, entity, 
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
 
 
-@pytest.mark.parametrize("overrides, named", [
+UNKNOWN_KEY_CASES = [
     ({"spaec": "el2"}, "scene: unknown key 'spaec'"),
     ({"entities": {"P": {"coeffs": {"e12": 1}, "rol": "point"}}}, "entity 'P': unknown key 'rol'"),
     ({"queries": [{"op": "norm", "args": ["P"], "nmae": "x"}]}, "query #0: unknown key 'nmae'"),
     ({"figure": {"theta": 1.0, "parallel": 2, "familly": "positive"}},
      "figure: unknown key 'parallel'"),
-], ids=["scene", "entity", "query", "figure"])
+]
+
+
+@pytest.mark.parametrize("overrides, named", UNKNOWN_KEY_CASES,
+                         ids=["scene", "entity", "query", "figure"])
 def test_cli_eval_exit_1_on_an_unknown_key(tmp_path, overrides, named):
     # a misspelt key would otherwise leave its default in force unnoticed
     bad = tmp_path / "misspelt.json"
@@ -852,7 +872,7 @@ def test_names_used_by_readme_and_bench_resolve():
     assert not missing
 
 
-@pytest.mark.parametrize("space, entities, query, code", [
+BAD_QUERY_ARG_CASES = [
     ("el3", {"L": {"role": "line", "coeffs": {"e23": 1}}},
      {"name": "par", "op": "clifford_parallel", "args": ["L", "sideways", 0.0, 1.0]}, 1),
     ("el2", {"P": {"role": "point", "coeffs": {"e12": 1}},
@@ -864,7 +884,11 @@ def test_names_used_by_readme_and_bench_resolve():
     ("el2", {"P": {"role": "point", "coeffs": {"e12": 1}},
              "R": {"role": "point", "coeffs": {"e12": 1, "e20": 0.5}}},
      {"name": "rot", "op": "rotate", "args": ["P", "R", math.nan]}, 1),
-], ids=["bad-family", "string-angle", "non-clifford-xi", "nan-angle"])
+]
+
+
+@pytest.mark.parametrize("space, entities, query, code", BAD_QUERY_ARG_CASES,
+                         ids=["bad-family", "string-angle", "non-clifford-xi", "nan-angle"])
 def test_bad_query_arg_exits_cleanly(tmp_path, space, entities, query, code):
     path = tmp_path / "bad_arg.json"
     path.write_text(json.dumps({"space": space, "entities": entities, "queries": [query]}))
@@ -1158,9 +1182,202 @@ def test_report_writer_matches_json_dumps(tree):
     assert report_to_json(tree) == json.dumps(tree, indent=2) + "\n"
 
 
+def _bundled_values():
+    return [r["value"] for n in (1, 2, 3)
+            for r in evaluate_scene(load_scene_file(str(SCENES / f"paper_el{n}.json")))["results"]]
+
+
+# evaluate_scene's report shape, which report_to_json writes directly, with
+# every kind of value and some names and ops that send it to the generic walk
+report_values = json_trees | st.deferred(lambda: st.sampled_from(_bundled_values()))
+report_shaped_trees = st.fixed_dictionaries({
+    "space": st.text() | st.none(),
+    "results": st.lists(st.fixed_dictionaries({
+        "name": st.text() | st.integers(), "op": st.text(),
+        "value": report_values | st.lists(report_values, max_size=3)}), max_size=6),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@example({"space": "el2", "results": [{"name": "n", "op": "norm", "value": v}
+                                      for v in (math.nan, -math.inf, -0.0, 2.5)]})
+@given(report_shaped_trees)
+def test_report_writer_matches_json_dumps_on_report_shaped_trees(tree):
+    assert report_to_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
 def test_report_writer_matches_json_dumps_on_bundled_reports():
     for n in (1, 2, 3):
         report = evaluate_scene(load_scene_file(str(SCENES / f"paper_el{n}.json")))
         text = report_to_json(report)
         assert text == json.dumps(report, indent=2) + "\n"
         assert text == (SCENES / f"paper_el{n}.report.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the scene boundary: a load that takes exact dicts and lists first, and a
+# report writer with a format cached per (space, blade names, indent)
+
+
+@pytest.mark.parametrize("space, coeffs, first, second", [
+    ("el2", {"e21": 1, "e12": 1}, "e21", "e12"),
+    ("el3", {"e0123": 1, "I": -1}, "e0123", "I"),
+], ids=["el2-transposed", "el3-pseudoscalar"])
+def test_cli_eval_exit_1_on_a_blade_named_twice(tmp_path, space, coeffs, first, second):
+    # the two spellings were summed: {"e21": 1, "e12": 1} loaded as zero and norm printed 0.0
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps({"space": space, "entities": {"P": {"coeffs": coeffs}},
+                               "queries": [NORM_P]}))
+    result = run_cli("eval", str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: entity 'P': '{first}' and '{second}' name the same blade\n"
+
+
+# queries that, with the bundled scene's own, issue every op of the space's registry
+EVERY_OP_EXTRA = {
+    "el1": [("canonicalize_sign", ["a"]), ("commutator", ["a", "b"]), ("inner", ["a", "b"]),
+            ("inverse_blade", ["a"]), ("outer", ["a", "b"]), ("reverse", ["quarter_turn"])],
+    "el2": [("canonicalize_sign", ["a"]), ("commutator", ["P1", "Q1"]), ("exp_bivector", ["P1n"]),
+            ("geometric_product", ["P1", "Q1"]), ("inverse_blade", ["a"]),
+            ("outer", ["a", "mirror"]), ("project", ["Pd", "a"]),
+            ("reflect_bottomup", ["Pd", "mirror"]), ("reject", ["Pd", "a"]), ("reverse", ["P1"])],
+    "el3": [("angle_planes", ["wall", "wall"]), ("canonicalize_sign", ["line"]),
+            ("clifford_bivector", ["line", "positive"]), ("clifford_frame", ["line"]),
+            ("commutator", ["lam_c", "phi_c"]), ("distance_plane_point", ["wall", "probe"]),
+            ("exp_bivector", ["comm"]), ("geometric_product", ["P0", "Q0"]),
+            ("inner", ["line", "lineI"]), ("inverse_blade", ["line"]), ("outer", ["wall", "probe"]),
+            ("project_line_on_line", ["line", "beam", 1]), ("project_on_line", ["probe", "line"]),
+            ("project_on_point", ["wall", "probe"]), ("reject_by_line", ["probe", "line"]),
+            ("reject_by_point", ["wall", "probe"]), ("reject_line_by_line", ["line", "beam", 2]),
+            ("reverse", ["line"])],
+}
+
+
+def every_op_scene(n):
+    obj = json.loads((SCENES / f"paper_el{n}.json").read_text(encoding="utf-8"))
+    obj["queries"] += [{"name": f"every_{op}", "op": op, "args": args}
+                       for op, args in EVERY_OP_EXTRA[obj["space"]]]
+    return obj
+
+
+def every_op_report(n):
+    """The every-op scene's report, with two more results: its first entity,
+    and the same entity one and two lists deeper."""
+    scn = load_scene(every_op_scene(n))
+    assert {q.op for q in scn.queries} == set(op_registry(scn.space))
+    report = evaluate_scene(scn)
+    mv = next(iter(scn.entities.values()))
+    report["results"] += [{"name": "flat", "op": "dual_I", "value": serialize_value(mv)},
+                          {"name": "nested", "op": "dual_I", "value": serialize_value([mv, [mv]])}]
+    return report
+
+
+def test_report_writer_is_the_same_from_a_cold_and_a_warm_cache(monkeypatch):
+    # a format keyed on less than (space, blade names, indent) would write
+    # one coefficient object in the shape of another
+    texts = {}
+    reports = {n: every_op_report(n) for n in (1, 2, 3)}
+    for n, report in reports.items():
+        monkeypatch.setattr(scene_mod, "_FORMATS", {})
+        cold = report_to_json(report)
+        assert cold == json.dumps(report, indent=2) + "\n"
+        assert report_to_json(report) == cold
+        texts[n] = cold
+    for n in (3, 1, 2):
+        assert report_to_json(reports[n]) == texts[n]
+    depths = {len(line) - len(line.lstrip()) for line in texts[3].splitlines()
+              if line.lstrip().startswith('"coeffs"')}
+    assert {8, 10, 12} <= depths
+
+
+def test_report_writer_format_cache_stays_bounded(rng, monkeypatch):
+    monkeypatch.setattr(scene_mod, "_FORMATS", {})
+    names = algebra.tables(Space.EL3).names
+    for pattern in rng.permutation(1 << 16)[:scene_mod._FORMATS_MAX + 100]:
+        mv = Multivector(Space.EL3, [float(pattern >> i & 1) * (i + 0.5) for i in range(16)])
+        value = serialize_value(mv)
+        assert list(value["coeffs"]) == [n for i, n in enumerate(names) if pattern >> i & 1]
+        report = {"space": "el3", "results": [{"name": "q", "op": "norm", "value": value}]}
+        assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
+        assert len(scene_mod._FORMATS) <= scene_mod._FORMATS_MAX
+
+
+def test_cli_eval_prints_the_text_written_in_process_after_the_other_scenes(monkeypatch):
+    monkeypatch.setattr(scene_mod, "_FORMATS", {})
+    for n in (1, 2):
+        report_to_json(evaluate_scene(load_scene_file(str(SCENES / f"paper_el{n}.json"))))
+    text = report_to_json(evaluate_scene(load_scene_file(str(SCENES / "paper_el3.json"))))
+    result = run_cli("eval", str(SCENES / "paper_el3.json"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == text
+
+
+def general_form(obj, mapping):
+    """The scene with each of its objects a `mapping` and its queries and args
+    tuples; every other value, a bad one included, is left as it is."""
+    def as_mapping(x, convert=lambda key, value: value):
+        return mapping({k: convert(k, v) for k, v in x.items()}) if isinstance(x, dict) else x
+
+    def entity(_, spec):
+        return as_mapping(spec, lambda k, v: as_mapping(v) if k == "coeffs" else v)
+
+    def query(q):
+        return as_mapping(q, lambda k, v: tuple(v) if k == "args" and isinstance(v, list) else v)
+
+    def part(key, value):
+        if key == "entities":
+            return as_mapping(value, entity)
+        if key == "queries" and isinstance(value, list):
+            return tuple(map(query, value))
+        return as_mapping(value) if key == "figure" else value
+    return as_mapping(obj, part)
+
+
+MAPPINGS = [types.MappingProxyType, collections.OrderedDict]
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS, ids=lambda m: m.__name__)
+def test_a_general_mapping_loads_to_the_scene_a_dict_loads_to(mapping):
+    for n in (1, 2, 3):
+        obj = every_op_scene(n)
+        general = general_form(obj, mapping)
+        assert type(general) is mapping and type(general["queries"]) is tuple
+        assert load_scene(general) == load_scene(obj)
+
+
+def refusal_scenes():
+    """The scenes the tests above expect load_scene to refuse, and one more
+    for each of its other refusals."""
+    twice = {"space": "el2", "entities": {"P": {"coeffs": {"e21": 1, "e12": 1}}},
+             "queries": [NORM_P]}
+    bad_entities = [{"role": "line", "coeffs": {"e12": 1}}, {"coeffs": {"e99": 1}},
+                    {"coeffs": [1, 2]}, {"role": "point"}, 3]
+    yield from [
+        scene_dict(queries=[{"op": "distance_pp", "args": ["P", "missing"]}]),
+        scene_dict(queries=[{"op": "frobnicate", "args": ["P"]}]),
+        scene_dict(queries=[{"op": "distance_pp", "args": "PQ"}]),
+        scene_dict(queries=[{"op": "distance_pp", "args": ["P"]}]),
+        scene_dict(queries={"op": "norm"}), scene_dict(queries=["norm"]),
+        scene_dict(entities=[]), scene_dict(figure=[]), scene_dict(space="el4"), [], twice,
+        {"space": "el3", "entities": {"L": {"role": "line", "coeffs": {"e10": 1, "e23": 1e-3}}}},
+    ]
+    for spec in bad_entities:
+        yield scene_dict(entities={"P": spec, "Q": {"coeffs": {"e12": 1}}})
+    yield from (non_finite_scene(role, value) for role, value in NON_FINITE_CASES)
+    yield from (not_a_string_scene(entity, queries) for entity, queries, _ in NOT_A_STRING_CASES)
+    yield from (scene_dict(**overrides) for overrides, _ in UNKNOWN_KEY_CASES)
+    yield from ({"space": space, "entities": entities, "queries": [query]}
+                for space, entities, query, code in BAD_QUERY_ARG_CASES if code == 1)
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS, ids=lambda m: m.__name__)
+def test_a_general_mapping_is_refused_with_the_message_a_dict_is(mapping):
+    cases = list(refusal_scenes())
+    for obj in cases:
+        with pytest.raises(SceneError) as plain:
+            load_scene(obj)
+        with pytest.raises(SceneError) as general:
+            load_scene(general_form(obj, mapping))
+        assert str(general.value) == str(plain.value)
+    assert len(cases) == 36
