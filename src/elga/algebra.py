@@ -331,15 +331,8 @@ class Multivector:
 
     @classmethod
     def from_terms(cls, space: Space, terms: Mapping[str, float]) -> "Multivector":
-        """Build from {blade name: coefficient}; omitted blades are zero."""
-        grades = _TABLES[space].grades
-        c = [0.0] * space.size
-        mask = 0
-        for name, value in terms.items():
-            slot, sign = _blade_slot(space, name)
-            c[slot] += sign * float(value)
-            mask |= 1 << grades[slot]
-        return _new(space, tuple(c), mask)
+        """Build from {blade name: coefficient}; omitted blades are zero (from_coeff_dict)."""
+        return from_coeff_dict(space, terms)
 
     # -- introspection -----------------------------------------------------
 
@@ -353,8 +346,10 @@ class Multivector:
 
     def coeff(self, name: str) -> float:
         """Coefficient of a named blade (permutation sign applied)."""
-        slot, sign = _blade_slot(self._space, name)
-        return sign * self._c[slot]
+        hit = _TABLES[self._space].name_to_slot.get(name)
+        if hit is None:
+            _refuse_name(self._space, name)
+        return hit[1] * self._c[hit[0]]
 
     def grades(self) -> Tuple[int, ...]:
         c, mask = self._c, self._mask
@@ -457,13 +452,6 @@ def _new(space: Space, c: Tuple[float, ...], mask: int) -> Multivector:
     mv._c = c
     mv._mask = mask
     return mv
-
-
-def _blade_slot(space: Space, name: str) -> Tuple[int, float]:
-    hit = _TABLES[space].name_to_slot.get(name)
-    if hit is None:
-        _refuse_name(space, name)
-    return hit
 
 
 def _refuse_name(space: Space, name: object) -> None:
@@ -679,6 +667,11 @@ def _plucker(c: float, d: float) -> float:
     return math.copysign((1.0 - r) * (1.0 + r) / (2.0 * (1.0 + r * r)), d - c)
 
 
+def _simple(c: float, d: float) -> bool:
+    """The simple (Plucker) test: |plucker_residual| <= eps |b|**2."""
+    return abs(_plucker(c, d)) <= epsilon()
+
+
 def _clifford(c: float, d: float) -> bool:
     """The Clifford test, I b = +-b within tolerance: 2 min(c, d) <= eps hypot(c, d)."""
     r = min(c, d) / max(c, d) if c or d else 0.0
@@ -688,7 +681,7 @@ def _clifford(c: float, d: float) -> bool:
 def is_simple_bivector(a: MultivectorLike) -> bool:
     """Plucker condition, relative to the squared coefficient norm."""
     a = as_multivector(a)       # every El1/El2 bivector is simple
-    return a._space is not Space.EL3 or abs(_plucker(*_halves(a)[2:])) <= epsilon()
+    return a._space is not Space.EL3 or _simple(*_halves(a)[2:])
 
 
 def is_clifford_bivector(a: MultivectorLike) -> bool:
@@ -701,9 +694,8 @@ def _norm(a: Multivector) -> float:
     """norm(a), but inf wherever the squares overflow."""
     if a._space is Space.EL3 and a.grades() == (2,):
         _, _, c, d = _halves(a)
-        residual = _plucker(c, d)
-        if not (abs(residual) <= epsilon() or _clifford(c, d)):
-            raise NonSimpleBivector(f"norm undefined: plucker residual {residual:.3e}")
+        if not (_simple(c, d) or _clifford(c, d)):
+            raise NonSimpleBivector(f"norm undefined: plucker residual {_plucker(c, d):.3e}")
     return coeff_norm(a)
 
 
@@ -725,18 +717,18 @@ def norm(a: MultivectorLike) -> float:
 
 
 def normalized(a: MultivectorLike) -> Multivector:
-    """a / norm(a); raises ZeroInput below tolerance.
+    """a / norm(a); raises ZeroInput only when every coefficient is zero.
 
-    When the squares overflow, a is first scaled down by a power of two
-    (_scaled_down), which is exact and leaves the direction alone.
+    When the squares overflow or underflow, a is first scaled by a power
+    of two (_scaled_down), which is exact and leaves the direction alone.
     """
     a = as_multivector(a)
     n = _norm(a)
-    if n == math.inf:
+    if not 2.0 ** -480 < n < math.inf:
+        if not any(a._c):
+            raise ZeroInput("cannot normalise a zero element")
         a = _scaled_down(a)[0]
         n = _norm(a)
-    if n <= epsilon():
-        raise ZeroInput("cannot normalise a (near-)zero element")
     return a * (1.0 / n)
 
 
@@ -810,10 +802,17 @@ class Spinor:
         return geometric_product(geometric_product(self.mv, x), reverse(self.mv))
 
     def __mul__(self, other: "Spinor") -> "Spinor":
-        return Spinor(geometric_product(self.mv, other.mv))
+        return _spinor(geometric_product(self.mv, other.mv))
 
     def __repr__(self) -> str:
         return f"Spinor({self.space.value}: {format_terms(self.mv)})"
+
+
+def _spinor(mv: Multivector) -> Spinor:
+    """Spinor over a value that is even and unit by construction, unchecked."""
+    s = _object_new(Spinor)
+    object.__setattr__(s, "mv", mv)
+    return s
 
 
 def _exp_simple(b: Multivector) -> Multivector:
@@ -837,14 +836,14 @@ def axis_split(b: Multivector):
     size by a power of two wherever their squares would leave the normal floats.
     """
     _, _, c, d = _halves(b)
-    if abs(_plucker(c, d)) <= epsilon():
+    if _simple(c, d):
         return b, Multivector.zero(b.space), False
     big = max(c, d)
     r = min(c, d) / big
     if 2.0 * r <= math.sqrt(epsilon()) * (1.0 + r * r):
         b1 = Multivector.from_terms(b.space, {n: b.coeff(n) for n in ("e23", "e31", "e12")})
         return b1, b - b1, True
-    unit = b if 2.0 ** -200 < big < 2.0 ** 200 else b * math.ldexp(1.0, -math.frexp(big)[1])
+    unit = b if 2.0 ** -200 < big < 2.0 ** 200 else _scaled_down(b)[0]
     n2, w = _sum_squares(unit._c), outer(unit, unit).pseudo_part
     x1 = -0.5 * (n2 + math.sqrt(n2 * n2 - w * w))  # larger axis: more negative square
     c1 = (w / 2.0) / x1
@@ -860,18 +859,20 @@ def exp_bivector(b: MultivectorLike) -> Spinor:
 
     In El1/El2 the square of a bivector is a scalar and the closed
     cos/sinc form applies directly; in El3 the bivector is split into
-    commuting axes first and the factors multiplied.
+    commuting axes first and the factors multiplied (a simple one is its own
+    axis).  The result is unit by construction and is not checked again.
     """
     b = as_multivector(b)
     g = b.grades()
     if g not in ((), (2,)):
         raise AlgebraError(f"exp_bivector needs a grade-2 argument, got grades {g}")
-    if b.space is Space.EL3:
-        b1, b2, _ = axis_split(b)
-        value = geometric_product(_exp_simple(b1), _exp_simple(b2))
-    else:
-        value = _exp_simple(b)
-    return Spinor(value)
+    if b.space is not Space.EL3:
+        return _spinor(_exp_simple(b))
+    b1, b2, _ = axis_split(b)
+    value = _exp_simple(b1)
+    if b2._mask:                    # b2 is the zero of the simple branch otherwise
+        value = geometric_product(value, _exp_simple(b2))
+    return _spinor(value)
 
 
 # A normalised generator squares to -1 only up to rounding; the unit check
@@ -901,11 +902,10 @@ def orbit(
     square = inner(b, b).scalar_part
     if abs(square + 1.0) > max(eps, _UNIT_ROUNDING):
         raise AlgebraError(f"orbit generator must be unit: b.b = {square!r}, not -1")
-    residual = _plucker(*_halves(b)[2:]) if b.space is Space.EL3 else 0.0
-    if abs(residual) > eps:
+    if not is_simple_bivector(b):
         raise NonSimpleBivector(
             f"orbit generator must be simple: plucker residual "
-            f"{residual:.3e} exceeds tolerance {eps:.1g}"
+            f"{_plucker(*_halves(b)[2:]):.3e} exceeds tolerance {eps:.1g}"
         )
     bx = geometric_product(b, x)
     xb = geometric_product(x, b)

@@ -15,7 +15,6 @@ from .algebra import (
     epsilon,
     Multivector,
     MultivectorLike,
-    Record,
     Space,
     as_multivector,
     coeff_norm,
@@ -28,14 +27,11 @@ from .algebra import (
 _E01 = Multivector.basis(Space.EL1, "e01")
 
 
-class PointEl1(Record):
+class PointEl1(geometry.BladeView):
     """Grade-1 blade view of a point on the elliptic line."""
 
     __slots__ = ("mv",)
-
-    def __init__(self, mv: Multivector):
-        geometry.check_blade(mv, Space.EL1, "point", "PointEl1")
-        object.__setattr__(self, "mv", mv)
+    space, role, nonzero = Space.EL1, "point", False
 
     @classmethod
     def from_coeffs(cls, d: float, a: float) -> "PointEl1":
@@ -46,13 +42,8 @@ class PointEl1(Record):
         """Normalised point -e0 sin(alpha) + e1 cos(alpha)."""
         return cls.from_coeffs(-math.sin(alpha), math.cos(alpha))
 
-    @property
-    def d(self) -> float:
-        return self.mv.coeff("e0")
-
-    @property
-    def a(self) -> float:
-        return self.mv.coeff("e1")
+    d = geometry.coeff_property("e0")
+    a = geometry.coeff_property("e1")
 
     def angle(self) -> float:
         """Parameter alpha of the normalised representative, in (-pi, pi]."""

@@ -36,45 +36,31 @@ class DegeneratePolar(AlgebraError):
     """The point sits at the polar point of the line; a.P vanishes."""
 
 
-class LineEl2(Record):
+class LineEl2(geometry.BladeView):
     """Grade-1 blade view of a line in the elliptic plane."""
 
     __slots__ = ("mv",)
-
-    def __init__(self, mv: Multivector):
-        geometry.check_blade(mv, Space.EL2, "line", "LineEl2", nonzero=True)
-        object.__setattr__(self, "mv", mv)
+    space, role = Space.EL2, "line"
 
     @classmethod
     def from_coeffs(cls, d: float, a: float, b: float) -> "LineEl2":
         return cls(Multivector.from_terms(Space.EL2, {"e0": d, "e1": a, "e2": b}))
 
 
-class PointEl2(Record):
+class PointEl2(geometry.BladeView):
     """Grade-2 blade view of a point in the elliptic plane."""
 
     __slots__ = ("mv",)
-
-    def __init__(self, mv: Multivector):
-        geometry.check_blade(mv, Space.EL2, "point", "PointEl2", nonzero=True)
-        object.__setattr__(self, "mv", mv)
+    space, role = Space.EL2, "point"
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "PointEl2":
         """Standard-coordinate embedding e12 + x*e20 + y*e01."""
         return cls(Multivector.from_terms(Space.EL2, {"e12": 1.0, "e20": x, "e01": y}))
 
-    @property
-    def w(self) -> float:
-        return self.mv.coeff("e12")
-
-    @property
-    def x(self) -> float:
-        return self.mv.coeff("e20")
-
-    @property
-    def y(self) -> float:
-        return self.mv.coeff("e01")
+    w = geometry.coeff_property("e12")
+    x = geometry.coeff_property("e20")
+    y = geometry.coeff_property("e01")
 
     def chart_xy(self) -> Tuple[float, float]:
         """Affine-chart coordinates (x/w, y/w); w must not vanish."""

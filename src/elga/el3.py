@@ -19,6 +19,7 @@ from .algebra import (
     epsilon,
     _clifford,
     _halves,
+    _new,
     AlgebraError,
     Multivector,
     MultivectorLike,
@@ -81,26 +82,20 @@ class Direction(enum.Enum):
 # blade views
 
 
-class PlaneEl3(Record):
+class PlaneEl3(geometry.BladeView):
     __slots__ = ("mv",)
-
-    def __init__(self, mv: Multivector):
-        geometry.check_blade(mv, _S, "plane", "PlaneEl3", nonzero=True)
-        object.__setattr__(self, "mv", mv)
+    space, role = _S, "plane"
 
     @classmethod
     def from_coeffs(cls, d: float, a: float, b: float, c: float) -> "PlaneEl3":
         return cls(Multivector.from_terms(_S, {"e0": d, "e1": a, "e2": b, "e3": c}))
 
 
-class LineEl3(Record):
+class LineEl3(geometry.BladeView):
     """Grade-2 blade view; construction checks the Plucker condition."""
 
     __slots__ = ("mv",)
-
-    def __init__(self, mv: Multivector):
-        geometry.check_blade(mv, _S, "line", "LineEl3", nonzero=True)
-        object.__setattr__(self, "mv", mv)
+    space, role = _S, "line"
 
     @classmethod
     def from_plucker(cls, p10, p20, p30, p23, p31, p12) -> "LineEl3":
@@ -123,12 +118,9 @@ class LineEl3(Record):
         return tuple(self.mv.coeff(n) for n in ("e10", "e20", "e30", "e23", "e31", "e12"))
 
 
-class PointEl3(Record):
+class PointEl3(geometry.BladeView):
     __slots__ = ("mv",)
-
-    def __init__(self, mv: Multivector):
-        geometry.check_blade(mv, _S, "point", "PointEl3", nonzero=True)
-        object.__setattr__(self, "mv", mv)
+    space, role = _S, "point"
 
     @classmethod
     def from_xyz(cls, x: float, y: float, z: float) -> "PointEl3":
@@ -137,21 +129,10 @@ class PointEl3(Record):
             "e123": 1.0, "e320": x, "e130": y, "e210": z,
         }))
 
-    @property
-    def w(self) -> float:
-        return self.mv.coeff("e123")
-
-    @property
-    def x(self) -> float:
-        return self.mv.coeff("e320")
-
-    @property
-    def y(self) -> float:
-        return self.mv.coeff("e130")
-
-    @property
-    def z(self) -> float:
-        return self.mv.coeff("e210")
+    w = geometry.coeff_property("e123")
+    x = geometry.coeff_property("e320")
+    y = geometry.coeff_property("e130")
+    z = geometry.coeff_property("e210")
 
 
 def _require_line(x: MultivectorLike, what: str = "line") -> Multivector:
@@ -433,7 +414,7 @@ def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
     pn = _require_line(phi, "phi")
     ln = _require_line(line)
     comm = commutator(pn, ln)
-    if coeff_norm(comm) <= epsilon():
+    if coeff_norm(comm) <= epsilon() * coeff_norm(pn) * coeff_norm(ln):
         zero = Multivector.zero(_S)
         return pn, ln, zero, zero
     b1, b2, degenerate = axis_split(comm)
@@ -535,9 +516,14 @@ def quaternion_bridge(p: MultivectorLike) -> Quaternion:
 
 
 def point_from_quaternion(q) -> Multivector:
-    """Inverse of quaternion_bridge."""
+    """Inverse of quaternion_bridge: the polar point of the plane w e0 + x e1 + y e2 + z e3.
+
+    The plane is laid out in slots 1, 2, 4 and 8 (grade mask 0b10), not built
+    by from_terms, which refuses a non-finite value: a quaternion product that
+    overflowed reaches the scene's check on non-finite results instead.
+    """
     w, x, y, z = (float(t) for t in q)
-    return Multivector.from_terms(_S, {"e123": w, "e320": x, "e130": y, "e210": z})
+    return dual_I(_new(_S, (0.0, w, x, 0.0, y, 0.0, 0.0, 0.0, z) + (0.0,) * 7, 0b10))
 
 
 def quaternion_multiply(p, q) -> Quaternion:

@@ -3,8 +3,8 @@
 Projection, rejection, reflection, distance and angle are the same
 geometric products in El1, El2 and El3 (the dimension-independent
 framework of Gunn, 2011).  Each is written once here and el1, el2 and el3
-bind their public names to it.  The blade check behind the blade views,
-the el3 line arguments and the scene entity roles lives here too.
+bind their public names to it.  The blade check behind the blade views
+(BladeView), the el3 line arguments and the scene entity roles lives here too.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from .algebra import (
     Multivector,
     MultivectorLike,
     NonSimpleBivector,
+    Record,
     Space,
     _halves,
     _involute,
     _plucker,
+    _simple,
     as_multivector,
     coeff_norm,
     commutator,
@@ -57,12 +59,35 @@ def check_blade(
     if nonzero and coeff_norm(mv) <= epsilon():
         raise ValueError(f"{what} must be a nonzero element")
     if role == "line" and space is Space.EL3:
-        residual = _plucker(*_halves(mv)[2:])       # the residual over |mv|**2
-        if abs(residual) > epsilon():
-            raise NonSimpleBivector(
-                f"{what}: plücker residual {residual:.3e} exceeds tolerance {epsilon():.1g}"
+        _, _, c, d = _halves(mv)
+        if not _simple(c, d):
+            raise NonSimpleBivector(       # the residual over |mv|**2
+                f"{what}: plücker residual {_plucker(c, d):.3e} exceeds tolerance {epsilon():.1g}"
             )
     return mv
+
+
+class BladeView(Record):
+    """Checked blade of one role in one space, held in the field mv.
+
+    A view class sets space and role, and declares __slots__ = ("mv",);
+    its name is the `what` of check_blade's messages.  nonzero also
+    refuses a coefficient norm within tolerance of zero.
+    """
+
+    __slots__ = ()
+    space: Space
+    role: str
+    nonzero = True
+
+    def __init__(self, mv: Multivector):
+        check_blade(mv, self.space, self.role, type(self).__name__, self.nonzero)
+        object.__setattr__(self, "mv", mv)
+
+
+def coeff_property(name: str) -> property:
+    """Read-only view property: the coefficient of the named blade of mv."""
+    return property(lambda self: self.mv.coeff(name), doc=f"Coefficient of {name}.")
 
 
 def _grade(mv: Multivector) -> int:
@@ -85,9 +110,15 @@ def distance(a: MultivectorLike, b: MultivectorLike) -> float:
 
 
 def angle(a: MultivectorLike, b: MultivectorLike) -> float:
-    """Angle in [0, pi] between oriented blades of one grade: cos alpha = A.B."""
+    """Angle in [0, pi] between oriented vectors: cos alpha = A.B, sin alpha = |A^B|.
+
+    atan2 keeps every digit near 0 and pi, where acos of the cosine loses half.
+    Other grades raise ValueError: the wedge of two El2 points, say, is zero.
+    """
     an, bn = normalized(a), normalized(b)
-    return math.acos(max(-1.0, min(1.0, inner(an, bn).scalar_part)))
+    if an.grades() != (1,) or bn.grades() != (1,):
+        raise ValueError("angle needs two grade-1 elements (el2 lines, el3 planes)")
+    return math.atan2(coeff_norm(outer(an, bn)), inner(an, bn).scalar_part)
 
 
 def project(b: MultivectorLike, a: MultivectorLike) -> Multivector:

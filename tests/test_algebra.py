@@ -493,8 +493,9 @@ def test_spinor_product_closure(rng):
     for space in SPACES:
         s = rand_spinor(space, rng)
         t = rand_spinor(space, rng)
-        prod = s * t  # constructor re-validates S ~S = 1
+        prod = s * t  # unit by construction: not checked again
         assert prod.space is space
+        assert_mv_close(prod.mv * reverse(prod.mv), Multivector.scalar(space, 1.0), 1e-12)
 
 
 def test_exp_requires_grade_two():
@@ -651,9 +652,11 @@ def test_json_unknown_keys_rejected():
     (Space.EL1, {"1": 1, "e01": 1, "e10": 1, "e0": 1}, "e01", "e10"),
 ], ids=["el2-transposed", "el2-I", "el3-reversed", "el1-scalar-and-pair"])
 def test_json_a_blade_named_twice_is_refused(space, coeffs, first, second):
-    # summed without a word before: {"e21": 1, "e12": 1} loaded as zero
-    with pytest.raises(ValueError, match=f"^'{first}' and '{second}' name the same blade$"):
-        from_coeff_dict(space, coeffs)
+    # summed without a word before: {"e21": 1, "e12": 1} loaded as zero,
+    # and from_terms kept summing until it became a call to from_coeff_dict
+    for load in (from_coeff_dict, Multivector.from_terms):
+        with pytest.raises(ValueError, match=f"^'{first}' and '{second}' name the same blade$"):
+            load(space, coeffs)
 
 
 @pytest.mark.parametrize("key", [1, 2.5, None, ("e1",)], ids=["int", "float", "None", "tuple"])
@@ -711,8 +714,19 @@ def test_json_omitted_keys_are_zero():
 
 
 def test_normalize_zero_raises():
-    with pytest.raises(ZeroInput):
+    with pytest.raises(ZeroInput, match="^cannot normalise a zero element$"):
         normalized(Multivector.zero(Space.EL2))
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_normalized_is_the_same_at_every_power_of_two_scale(space, rng):
+    # an element below the tolerance was refused as (near-)zero; only an
+    # all-zero element is refused now, and 2**k a normalises to what a does
+    for _ in range(10):
+        a = rand_blade_coeffs(space, 1, rng)
+        want = normalized(a)
+        for k in (-1000, -540, -300, -30, 300, 540, 1000):
+            assert normalized(Multivector(space, [math.ldexp(x, k) for x in a._c])) == want
 
 
 def test_tolerance_is_read_only_through_epsilon():

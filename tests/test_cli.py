@@ -294,6 +294,38 @@ def test_cli_line_whose_squares_overflow_loads(tmp_path):
     assert abs(distances[1] - distances[0]) <= 1e-12
 
 
+INVARIANT_OPS = ("distance", "angle", "triangle_area", "right_triangle_area", "classify_circle",
+                 "line_line_metrics")
+
+
+def test_invariant_queries_of_the_bundled_scenes_are_scale_free():
+    # each entity argument of each invariant query, times 2**k: the answer
+    # is the unscaled one; below about 2**-30 normalized refused it as zero
+    cases, failures = 0, []
+    for n in (1, 2, 3):
+        scene = load_scene_file(SCENES / f"paper_el{n}.json")
+        for query in scene.queries:
+            if not query.op.startswith(INVARIANT_OPS):
+                continue
+            want = report_to_json(evaluate_scene(Scene(scene.space, scene.entities, {}, (query,))))
+            for i, arg in enumerate(query.args):
+                for k in (-1000, -540, -300, 300, 540, 1000):
+                    scaled = scene.entities[arg] * 2.0 ** k
+                    assert all(x == 0.0 or sys.float_info.min <= abs(x) <= sys.float_info.max
+                               for x in scaled._c)
+                    args = query.args[:i] + ("scaled",) + query.args[i + 1:]
+                    one = Scene(scene.space, {**scene.entities, "scaled": scaled}, {},
+                                (Query(query.name, query.op, args),))
+                    cases += 1
+                    try:
+                        got = report_to_json(evaluate_scene(one))
+                    except QueryError as e:
+                        got = str(e)
+                    if got != want:
+                        failures.append((n, query.name, i, k, got))
+    assert cases == 312 and failures == []
+
+
 def eval_el3(tmp_path, entities, op, *args):
     """Value of one el3 query through `elga eval`; entities map name -> (role, coeffs)."""
     scene = tmp_path / "el3.json"

@@ -56,6 +56,7 @@ def test_from_angle_matches_parametrisation():
     alpha = 0.77
     p = el1.PointEl1.from_angle(alpha)
     assert_mv_close(p.mv, pt(-math.sin(alpha), math.cos(alpha)))
+    assert (p.d, p.a) == (-math.sin(alpha), math.cos(alpha))
     assert abs(p.angle() - alpha) < 1e-15
 
 

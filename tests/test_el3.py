@@ -595,6 +595,20 @@ def test_project_line_on_line_properties(rng):
         done += 1
 
 
+@pytest.mark.parametrize("k", [-20, -200, 200])
+@pytest.mark.parametrize("op", [el3.project_line_on_line, el3.reject_line_by_line],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("kind", [1, 2])
+def test_line_on_line_ops_scale_with_their_lines(op, kind, k):
+    # the bundled scene's line and beam; the commutator's zero test was
+    # absolute, so at 2**-20 it read the pair as commuting
+    phi = Multivector.from_terms(S, {"e20": -1 / 3, "e30": 1, "e23": 1, "e31": -1,
+                                     "e12": -1 / 3})
+    beam = Multivector.from_terms(S, {"e10": 1, "e20": 1, "e23": -3, "e31": 3, "e12": 2})
+    s = 2.0 ** k
+    assert op(phi * s, beam * s, kind) == op(phi, beam, kind) * s
+
+
 def test_project_line_on_line_degenerate(rng):
     lam = rand_line_el3(rng)
     par = el3.clifford_parallel(lam, "positive", 0.3, 1.0)

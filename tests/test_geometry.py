@@ -1,5 +1,7 @@
 """The geometry shared by El1, El2 and El3: one rule per formula."""
 
+import math
+
 import pytest
 
 from elga import el1, el2, el3
@@ -75,7 +77,7 @@ VIEWS = [
                          ids=[v.__name__ for v, *_ in VIEWS])
 def test_blade_views_share_one_check(view, space, good, wrong):
     view(Multivector.basis(space, good))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{view.__name__} must be a grade-"):
         view(Multivector.basis(space, wrong))
     with pytest.raises(ValueError):
         view(Multivector.basis(Space.EL1 if space is not Space.EL1 else S2, "e1"))
@@ -84,6 +86,32 @@ def test_blade_views_share_one_check(view, space, good, wrong):
     if view is not el1.PointEl1:
         with pytest.raises(ValueError):
             view(Multivector.basis(space, good) * 1e-12)
+
+
+ANGLES = {
+    "el2 angle_ll": (el2.angle_ll, S2, "e1", "e2"),
+    "el3 angle_planes": (el3.angle_planes, S3, "e1", "e3"),
+}
+
+
+@pytest.mark.parametrize("angle, space, u, v", ANGLES.values(), ids=list(ANGLES))
+@pytest.mark.parametrize("t", [1e-9, 1e-8, 1e-4])
+def test_angle_keeps_its_digits_near_zero_and_pi(angle, space, u, v, t):
+    # acos of the cosine gave 0.0 at t = 1e-8 and 1e-9, and 9.99999997e-5 at 1e-4
+    a = Multivector.basis(space, u)
+    b = Multivector.from_terms(space, {u: math.cos(t), v: math.sin(t)})
+    assert abs(angle(a, b) - t) <= 1e-15 * t
+    assert abs(angle(a, -b) - (math.pi - t)) <= 1e-15 * math.pi
+
+
+def test_angle_refuses_blades_that_are_not_vectors():
+    # the wedge of two El2 points is zero, so atan2 would read 0 or pi for any pair
+    p, q = (Multivector.from_terms(S2, {"e12": 1, "e20": x}) for x in (1, -2))
+    line, other = Multivector.basis(S3, "e23"), Multivector.basis(S3, "e10")
+    for angle, a, b in ((el2.angle_ll, p, q), (el3.angle_planes, line, other),
+                        (el3.angle_planes, Multivector.basis(S3, "e1"), el3.ORIGIN)):
+        with pytest.raises(ValueError, match="^angle needs two grade-1 elements"):
+            angle(a, b)
 
 
 def test_el3_line_arguments_share_the_plucker_check():
