@@ -736,17 +736,25 @@ def inverse_blade(a: MultivectorLike) -> Multivector:
     """Inverse of a blade or versor: ~a / <a ~a>_0.
 
     Raises NonInvertible when a * ~a is not a nonzero scalar (for example
-    1 + I in El3, a zero divisor).
+    1 + I in El3, a zero divisor).  When that sum of squares is not a
+    normal float, a is first scaled by a power of two (_scaled_down) and
+    the inverse scaled back, both exactly.
     """
     a = as_multivector(a)
     eps = epsilon()
     rev = reverse(a)
-    m = geometric_product(a, rev)
-    s = m.scalar_part                        # the sum of squares, as in _sum_squares
+    m = shown = geometric_product(a, rev)
+    s, e = m.scalar_part, 0                  # the sum of squares, as in _sum_squares
+    if not sys.float_info.min <= s < math.inf and any(a._c):
+        a, e = _scaled_down(a)
+        rev = reverse(a)
+        m = geometric_product(a, rev)
+        s = m.scalar_part
     scale = max(s, 1e-300)
-    if abs(s) <= eps * scale or math.sqrt(_sum_squares(m._c[1:])) > eps * scale:
-        raise NonInvertible(f"no blade inverse: a*~a = {format_terms(m)}")
-    return rev * (1.0 / s)
+    if abs(s) <= eps * scale or math.hypot(*m._c[1:]) > eps * scale:
+        raise NonInvertible(f"no blade inverse: a*~a = {format_terms(shown)}")
+    inv = rev * (1.0 / s)
+    return _new(inv._space, tuple([math.ldexp(x, -e) for x in inv._c]), inv._mask) if e else inv
 
 
 def canonicalize_sign(a: MultivectorLike) -> Multivector:

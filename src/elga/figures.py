@@ -21,6 +21,9 @@ Chart coordinates divide by the weight coefficient (e12 in el2, e123 in
 el3); samples with |weight| < 1e-6 leave the chart and split the
 polyline, so emitted polylines contain only finite coordinates.  The CSV
 carries the raw normalised coefficients of every sample.
+
+write_csv formats one trajectory at a time from the columns it was sampled
+into (``FigureData.traces``), with the bytes csv.writer would give.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from itertools import chain
 from typing import Tuple
 
@@ -40,12 +44,17 @@ CHART_CUTOFF = 1e-6
 
 class FigureData(Record):
     """Polylines (already projected to 2D) plus the raw sample table: lists
-    of (label, points), (label, point) and rows, which build_figure extends."""
+    of (label, points), (label, point) and rows, which build_figure extends.
 
-    __slots__ = ("kind", "polylines", "markers", "csv_header", "csv_rows")
+    ``traces`` holds, per trajectory, the columns its rows were zipped from:
+    (row prefix, t column, coefficient columns, the rows it appended to
+    csv_rows).  write_csv formats from them while csv_rows still holds
+    exactly those rows."""
+
+    __slots__ = ("kind", "polylines", "markers", "csv_header", "csv_rows", "traces")
 
     def __init__(self, kind: str, csv_header: Tuple[str, ...] = ()):
-        self._fill(kind, [], [], csv_header, [])
+        self._fill(kind, [], [], csv_header, [], [])
 
 
 def _entity(scene: Scene, name: str) -> Multivector:
@@ -61,17 +70,17 @@ _CY, _SY = math.cos(_YAW), math.sin(_YAW)
 _CP, _SP = math.cos(_PITCH), math.sin(_PITCH)
 
 
-def _project3(w: float, x: float, y: float, z: float) -> Tuple[float, float]:
-    x, y, z = x / w, y / w, z / w
-    u = _CY * x + _SY * y
-    depth = -_SY * x + _CY * y
-    v = _CP * z - _SP * depth
-    return u, v
+def _project3(ws: list, xs: list, ys: list, zs: list) -> list:
+    """(u, v) of each chart point (x/w, y/w, z/w): u = cy x + sy y and
+    v = cp z - sp depth, with depth = -sy x + cy y."""
+    return [(_CY * (xw := x / w) + _SY * (yw := y / w),
+             _CP * (z / w) - _SP * (-_SY * xw + _CY * yw)) for w, x, y, z in zip(ws, xs, ys, zs)]
 
 
-# weight blade then chart blades, and the 2D view of their chart point, per space
+# weight blade then chart blades, and the 2D view of their columns, per space
 _CHARTS = {
-    Space.EL2: (("e12", "e20", "e01"), lambda w, x, y: (x / w, y / w)),
+    Space.EL2: (("e12", "e20", "e01"),
+                lambda ws, xs, ys: [(x / w, y / w) for w, x, y in zip(ws, xs, ys)]),
     Space.EL3: (("e123", "e320", "e130", "e210"), _project3),
 }
 
@@ -94,9 +103,10 @@ def _add_trace(fig: FigureData, label: str, prefix: Tuple, table: Tuple[list, li
     The orbit is sampled at every t of the table from its closed form
     A0 + Ac cos t + As sin t (algebra.orbit), one weight or chart column at
     a time.  Each sample adds the row prefix + (t, weight, chart
-    coefficients).  A sample whose weight is below CHART_CUTOFF leaves the
-    chart and ends the current run; runs are labelled label.0, label.1, ...
-    in order, and single-point runs are dropped.
+    coefficients), and fig.traces keeps the columns they were zipped from.
+    A sample whose weight is below CHART_CUTOFF leaves the chart and ends
+    the current run; runs are labelled label.0, label.1, ... in order, and
+    single-point runs are dropped.
     """
     ts, coss, sins = table
     a0, ac, as_ = orbit(b, x)
@@ -105,11 +115,13 @@ def _add_trace(fig: FigureData, label: str, prefix: Tuple, table: Tuple[list, li
     for slot, sign in map(tables(x.space).name_to_slot.__getitem__, names):
         p, c, s = a0._c[slot], ac._c[slot], as_._c[slot]
         cols.append([((p + cos * c) + sin * s) * sign for cos, sin in zip(coss, sins)])
-    fig.csv_rows.extend([prefix + row for row in zip(ts, *cols)])
+    rows = [prefix + row for row in zip(ts, *cols)]
+    fig.csv_rows.extend(rows)
+    fig.traces.append((prefix, ts, cols, rows))
     cuts = [i for i, w in enumerate(cols[0]) if not abs(w) >= CHART_CUTOFF]
     bounds = [-1, *cuts, len(ts)]
     runs = [(i + 1, j) for i, j in zip(bounds, bounds[1:]) if j > i + 1]
-    fig.polylines.extend([(f"{label}.{n}", list(map(view, *[col[i:j] for col in cols])))
+    fig.polylines.extend([(f"{label}.{n}", view(*[col[i:j] for col in cols]))
                           for n, (i, j) in enumerate(runs) if j - i >= 2])
 
 
@@ -208,32 +220,59 @@ def _csv_text(value, width: int) -> str:
     return buf.getvalue()[:-2 - len(pad)]
 
 
+def _trace_blocks(fig: FigureData, width: int):
+    """The CSV body of each trace, or None unless csv_rows is still, row for
+    row and by identity, the rows the traces appended at this width.
+
+    Each trace is one %-format: its prefix cells as csv.writer writes them
+    (with % escaped), then the figure's t column, formatted once, and its
+    coefficient columns by %r."""
+    traces = fig.traces
+    written = list(chain.from_iterable([rows for *_, rows in traces]))
+    if len(written) != len(fig.csv_rows) or not all(map(operator.is_, written, fig.csv_rows)) \
+            or any(len(prefix) + 1 + len(cols) != width for prefix, _, cols, _ in traces):
+        return None
+    t_text = {}                                     # by id of the t column
+    for _, ts, _, _ in traces:
+        if id(ts) not in t_text:
+            t_text[id(ts)] = list(map(float.__repr__, ts))
+    return [("".join([_csv_text(v, width).replace("%", "%%") + "," for v in prefix])
+             + "%s" + ",%r" * len(cols) + "\r\n") * len(ts)
+            % tuple(chain.from_iterable(zip(t_text[id(ts)], *cols)))
+            for prefix, ts, cols, _ in traces]
+
+
 def write_csv(fig: FigureData, path: str) -> None:
-    """The header, then every row as csv.writer writes it: columns of exact
-    floats and ints by %r, any other column by a table of the text csv.writer
-    gives each distinct (type, str) cell; all rows go through one %-format."""
+    """The header, then every row as csv.writer writes it: one block per
+    trace while csv_rows holds exactly the traces' rows (_trace_blocks),
+    csv.writer itself for any other rows."""
     width, rows = len(fig.csv_header), fig.csv_rows
-    if rows and set(map(len, rows)) != {width}:
+    blocks = _trace_blocks(fig, width)
+    if blocks is None and rows and set(map(len, rows)) != {width}:
         raise ValueError(f"every CSV row must have {width} cells, as the header has")
-    cols = list(zip(*rows))
-    specs = ["%r" if set(map(type, col)) <= {float, int} else "%s" for col in cols]
-    for i, spec in enumerate(specs):
-        if spec == "%s":
-            keys = list(zip(map(type, cols[i]), map(str, cols[i])))
-            text = {k: _csv_text(v, width) for k, v in dict(zip(keys, cols[i])).items()}
-            cols[i] = list(map(text.__getitem__, keys))
-    body = (",".join(specs) + "\r\n") * len(rows) % tuple(chain.from_iterable(zip(*cols)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(fig.csv_header)
-        fh.write(body)
+        writer = csv.writer(fh)
+        writer.writerow(fig.csv_header)
+        if blocks is None:
+            writer.writerows(rows)
+        else:
+            fh.writelines(blocks)
 
 
 def write_svg(fig: FigureData, path: str) -> None:
     """Plain polyline rendering of the figure's chart data, 640 px square."""
     size = 640
-    pts = [p for _, run in fig.polylines for p in run]
-    pts += [p for _, p in fig.markers]
-    xs, ys = zip(*pts) if pts else ((-1.0, 1.0), (-1.0, 1.0))
+    xs, ys = [], []                  # each run's and marker's extremes
+    for _, run in fig.polylines:
+        if run:
+            rx, ry = zip(*run)
+            xs += min(rx), max(rx)
+            ys += min(ry), max(ry)
+    for _, (x, y) in fig.markers:
+        xs.append(x)
+        ys.append(y)
+    if not xs:
+        xs, ys = (-1.0, 1.0), (-1.0, 1.0)
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     pad = 0.05 * span
     lx, ly = min(xs) - pad, min(ys) - pad

@@ -433,6 +433,18 @@ def test_inverse_blade_times_blade_is_one(rng):
                 Multivector.scalar(space, 1.0), 1e-12)
 
 
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_inverse_blade_is_exact_at_every_power_of_two_scale(k, rng):
+    # at 2**300 the off-scalar residue's square overflowed and a valid line
+    # was refused; at 2**-600 and 2**600 a*~a itself leaves the floats
+    blades = [rand_line_el3(rng) * 2.3, rand_point(Space.EL3, rng), rand_point(Space.EL2, rng),
+              rand_blade_coeffs(Space.EL3, 1, rng), rand_blade_coeffs(Space.EL1, 1, rng)]
+    for b in blades:
+        scaled = Multivector(b.space, [math.ldexp(x, k) for x in b._c])
+        want = Multivector(b.space, [math.ldexp(x, -k) for x in inverse_blade(b)._c])
+        assert inverse_blade(scaled) == want
+
+
 def test_one_plus_pseudoscalar_not_invertible():
     one_plus_i = Multivector.from_terms(Space.EL3, {"1": 1, "I": 1})
     with pytest.raises(NonInvertible):

@@ -702,6 +702,48 @@ def test_write_csv_matches_csv_writer(tmp_path, header, rows):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+# seed names csv must quote, or that a %-format would read as its own
+ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "100%", "%s", '""']
+
+
+def _odd_figure(kind):
+    if kind == "circle-trajectory":
+        return figures.build_figure(load_scene_file(str(SCENES / "paper_el2.json")), kind, 9)
+    raw = json.loads((SCENES / "paper_el3.json").read_text())
+    raw["figure"]["parallels"] = 3
+    for i, name in enumerate(ODD_NAMES):
+        raw["entities"][name] = {"role": "point", "coeffs": {"e123": 1, "e320": i, "e130": -0.5}}
+    return figures.build_figure(load_scene(raw), kind, 9)
+
+
+@pytest.mark.parametrize("kind", scene_mod.FIGURE_KINDS)
+def test_write_csv_of_built_figures_matches_csv_writer(tmp_path, kind):
+    fig = _odd_figure(kind)
+    assert figures._trace_blocks(fig, len(fig.csv_header)) is not None    # the per-trace path
+    if kind == "rotation-flow":
+        assert set(ODD_NAMES) <= {row[0] for row in fig.csv_rows}
+    figures.write_csv(fig, str(tmp_path / "fast.csv"))
+    _reference_csv(fig, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["replace", "append"])
+def test_write_csv_of_an_edited_figure_matches_csv_writer(tmp_path, edit):
+    # the traces' columns no longer describe csv_rows, so they must not be written
+    fig = _odd_figure("rotation-flow")
+    figures.write_csv(fig, str(tmp_path / "before.csv"))
+    row = fig.csv_rows[12]
+    if edit == "replace":
+        fig.csv_rows[12] = (row[0], row[1], row[2] + 1.0, *row[3:])
+    else:
+        fig.csv_rows.append(row)
+    assert figures._trace_blocks(fig, len(fig.csv_header)) is None
+    figures.write_csv(fig, str(tmp_path / "fast.csv"))
+    _reference_csv(fig, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "fast.csv").read_bytes() != (tmp_path / "before.csv").read_bytes()
+
+
 @pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)]], ids=["short", "long"])
 def test_write_csv_refuses_a_row_unlike_the_header(tmp_path, rows):
     with pytest.raises(ValueError, match="every CSV row must have 2 cells"):

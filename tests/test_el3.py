@@ -609,6 +609,15 @@ def test_line_on_line_ops_scale_with_their_lines(op, kind, k):
     assert op(phi * s, beam * s, kind) == op(phi, beam, kind) * s
 
 
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+@pytest.mark.parametrize("op", [el3.project_on_line, el3.reject_by_line], ids=lambda op: op.__name__)
+def test_point_on_line_ops_are_the_same_at_every_power_of_two_scale(op, k):
+    # inverse_blade refused the line at 2**300 (its residue's square
+    # overflowed) and at 2**+-600 (a*~a left the floats)
+    p = point(2, 0.5, -1, 0.25)
+    assert op(p, REF_LINE * 2.0 ** k) == op(p, REF_LINE)
+
+
 def test_project_line_on_line_degenerate(rng):
     lam = rand_line_el3(rng)
     par = el3.clifford_parallel(lam, "positive", 0.3, 1.0)
