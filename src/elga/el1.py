@@ -12,15 +12,12 @@ import math
 
 from . import geometry
 from .algebra import (
-    epsilon,
     Multivector,
     MultivectorLike,
     Space,
     as_multivector,
-    coeff_norm,
     exp_bivector,
     geometric_product,
-    inner,
     normalized,
 )
 
@@ -31,7 +28,7 @@ class PointEl1(geometry.BladeView):
     """Grade-1 blade view of a point on the elliptic line."""
 
     __slots__ = ("mv",)
-    space, role, nonzero = Space.EL1, "point", False
+    space, role = Space.EL1, "point"
 
     @classmethod
     def from_coeffs(cls, d: float, a: float) -> "PointEl1":
@@ -51,22 +48,14 @@ class PointEl1(geometry.BladeView):
         return math.atan2(-n.coeff("e0"), n.coeff("e1"))
 
 
-def distance(a: MultivectorLike, b: MultivectorLike) -> float:
-    """Elliptic distance in [0, pi/2]: cos r = |a.b| on normalised points.
-
-    The arccos argument is clamped so rounding slightly above 1 cannot
-    produce NaN.
-    """
-    an = normalized(as_multivector(a))
-    bn = normalized(as_multivector(b))
-    c = abs(inner(an, bn).scalar_part)
-    return math.acos(min(c, 1.0))
+# point-point distance in [0, pi/2], the formula of every space
+distance = geometry.distance
 
 
 def polar(a: MultivectorLike) -> PointEl1:
     """The point a*e01, at distance pi/2 from a."""
     a = as_multivector(a)
-    if coeff_norm(a) <= epsilon():
+    if not any(a._c):
         raise ValueError("polar point of a zero element is undefined")
     return PointEl1(geometric_product(a, _E01))
 

@@ -185,7 +185,7 @@ class AxisDecomposition(Record):
 def axis_decompose(b: MultivectorLike) -> AxisDecomposition:
     """Split a grade-2 element into its complementary axes."""
     mv = as_multivector(b)
-    if coeff_norm(mv) <= epsilon():
+    if not any(mv._c):
         raise ValueError("axis_decompose requires a nonzero bivector")
     mv = geometry.check_blade(mv, _S, "bivector", "axis_decompose")
     return AxisDecomposition(*axis_split(mv))

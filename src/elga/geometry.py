@@ -42,22 +42,17 @@ ROLE_GRADES = {
 }
 
 
-def check_blade(
-    x: MultivectorLike, space: Space, role: str, what: str, nonzero: bool = False
-) -> Multivector:
+def check_blade(x: MultivectorLike, space: Space, role: str, what: str) -> Multivector:
     """x as a blade of the role's grade in the given space, or raise.
 
-    Raises ValueError for the wrong space or grade, and with nonzero for a
-    coefficient norm within tolerance of zero; AlgebraError (from
-    pure_grade) for a mixed-grade or zero element; NonSimpleBivector for
-    an El3 line off the Plucker quadric.
+    Raises ValueError for the wrong space or grade; AlgebraError (from
+    pure_grade) for a mixed-grade or all-zero element; NonSimpleBivector
+    for an El3 line off the Plucker quadric.
     """
     mv = as_multivector(x)
     grade = ROLE_GRADES[space][role]
     if mv.space is not space or mv.pure_grade() != grade:
         raise ValueError(f"{what} must be a grade-{grade} {space.value} element")
-    if nonzero and coeff_norm(mv) <= epsilon():
-        raise ValueError(f"{what} must be a nonzero element")
     if role == "line" and space is Space.EL3:
         _, _, c, d = _halves(mv)
         if not _simple(c, d):
@@ -71,17 +66,15 @@ class BladeView(Record):
     """Checked blade of one role in one space, held in the field mv.
 
     A view class sets space and role, and declares __slots__ = ("mv",);
-    its name is the `what` of check_blade's messages.  nonzero also
-    refuses a coefficient norm within tolerance of zero.
+    its name is the `what` of check_blade's messages.
     """
 
     __slots__ = ()
     space: Space
     role: str
-    nonzero = True
 
     def __init__(self, mv: Multivector):
-        check_blade(mv, self.space, self.role, type(self).__name__, self.nonzero)
+        check_blade(mv, self.space, self.role, type(self).__name__)
         object.__setattr__(self, "mv", mv)
 
 
@@ -103,7 +96,7 @@ def _grade(mv: Multivector) -> int:
 def distance(a: MultivectorLike, b: MultivectorLike) -> float:
     """Distance in [0, pi/2]: sin r = |AvB|, cos r = |A.B| on normalised blades.
 
-    Covers point-point, plane-point, line-point and (El2) line-point.
+    Covers point-point (El1, El2, El3), plane-point, line-point and (El2) line-point.
     """
     an, bn = normalized(a), normalized(b)
     return math.atan2(coeff_norm(regressive(an, bn)), coeff_norm(inner(an, bn)))

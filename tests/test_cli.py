@@ -326,6 +326,49 @@ def test_invariant_queries_of_the_bundled_scenes_are_scale_free():
     assert cases == 312 and failures == []
 
 
+def _answer_kind(value):
+    """A report value with every number and coefficient object reduced to its
+    type; decisions (flags, families, kinds) are kept as they are."""
+    if isinstance(value, dict):
+        if set(value) == {"space", "coeffs"}:
+            return f"{value['space']} multivector"
+        return {k: _answer_kind(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_answer_kind(v) for v in value]
+    return "number" if isinstance(value, float) else value
+
+
+def _outcome(scene, entities, query):
+    """The answer kind of one query, or the type of its refusal."""
+    try:
+        report = evaluate_scene(Scene(scene.space, entities, {}, (query,)))
+    except QueryError as e:
+        return type(e.cause)
+    return _answer_kind(report["results"][0]["value"])
+
+
+def test_every_query_of_the_bundled_scenes_ends_the_same_way_at_every_scale():
+    # each entity argument of each query, times 2**k, gets the unscaled
+    # query's kind of answer or its kind of refusal; an absolute zero test in
+    # polar and axis_decompose refused the small ones
+    cases, failures = 0, []
+    for n in (1, 2, 3):
+        scene = load_scene_file(SCENES / f"paper_el{n}.json")
+        for query in scene.queries:
+            want = _outcome(scene, scene.entities, query)
+            for i, arg in enumerate(query.args):
+                if not isinstance(arg, str) or arg not in scene.entities:
+                    continue
+                for k in (-300, -40, 40, 300):
+                    args = query.args[:i] + ("scaled",) + query.args[i + 1:]
+                    entities = {**scene.entities, "scaled": scene.entities[arg] * 2.0 ** k}
+                    cases += 1
+                    got = _outcome(scene, entities, Query(query.name, query.op, args))
+                    if got != want:
+                        failures.append((n, query.name, i, k, got, want))
+    assert cases == 444 and failures == []
+
+
 def eval_el3(tmp_path, entities, op, *args):
     """Value of one el3 query through `elga eval`; entities map name -> (role, coeffs)."""
     scene = tmp_path / "el3.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from elga.algebra import (
@@ -32,8 +33,20 @@ def test_worked_distances():
     assert abs(el1.distance(A, C) - (math.pi - math.atan(2) - math.atan(3))) < 1e-12
 
 
+def test_worked_distance_is_within_one_ulp_of_its_exact_value():
+    # the golden r_ab before its report rounds it to 15 digits
+    r = el1.distance(A, B)
+    with mpmath.workprec(256):
+        assert abs(mpmath.mpf(r) - (mpmath.atan(2) - mpmath.pi / 4)) <= math.ulp(r)
+
+
+def test_distance_keeps_its_digits_for_close_points():
+    # acos of the dot product read 0.0 here
+    r = el1.distance(el1.PointEl1.from_angle(0.0), el1.PointEl1.from_angle(1e-8))
+    assert abs(r - 1e-8) <= 1e-15 * 1e-8
+
+
 def test_distance_trivials():
-    # arccos near 1 amplifies the last-bit dot error to ~sqrt(eps)
     assert el1.distance(A, A) < 1e-7
     assert abs(el1.distance(pt(0, 1), pt(1, 0)) - math.pi / 2) < 1e-15
 

@@ -16,6 +16,7 @@ from elga.algebra import (
     coeff_norm,
     commutator,
     dual_I,
+    exp_bivector,
     geometric_product,
     inner,
     inverse_blade,
@@ -689,6 +690,20 @@ def test_double_rotation_isometry(rng):
         d1 = el3.distance_pp(el3.double_rotation(p, lam, alpha, beta),
                              el3.double_rotation(q, lam, alpha, beta))
         assert abs(d0 - d1) < 1e-10
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_double_rotation_near_clifford_is_the_product_of_its_two_rotations(j, rng):
+    # at beta/alpha - 1 = 10**-j the generator's halves have d/c of about
+    # 10**-j / 2; the axes of axis_split were off by up to 1.1e-5 there
+    for _ in range(20):
+        lam = rand_line_el3(rng)
+        alpha = rng.uniform(0.1, 3.0)
+        beta = alpha * (1.0 + 10.0 ** -j)
+        want = geometric_product(exp_bivector(lam * (-alpha / 2)).mv,
+                                 exp_bivector(dual_I(lam) * (-beta / 2)).mv)
+        got = el3.double_rotation_spinor(lam, alpha, beta).mv
+        assert coeff_norm(got - want) <= 1e-14
 
 
 def test_clifford_translate_identity_and_closed_form(rng):
