@@ -690,13 +690,18 @@ def is_clifford_bivector(a: MultivectorLike) -> bool:
     return a._space is Space.EL3 and a.grades() in ((), (2,)) and _clifford(*_halves(a)[2:])
 
 
-def _norm(a: Multivector) -> float:
-    """norm(a), but inf wherever the squares overflow."""
+def _norm(a: Multivector) -> Tuple[Multivector, float, int]:
+    """(a * 2**-e, its norm, e): e = 0 unless the squares of a overflow or
+    underflow, and then a is scaled by _scaled_down, exactly."""
     if a._space is Space.EL3 and a.grades() == (2,):
         _, _, c, d = _halves(a)
         if not (_simple(c, d) or _clifford(c, d)):
             raise NonSimpleBivector(f"norm undefined: plucker residual {_plucker(c, d):.3e}")
-    return coeff_norm(a)
+    n = coeff_norm(a)
+    if 2.0 ** -480 < n < math.inf or not any(a._c):
+        return a, n, 0
+    a, e = _scaled_down(a)
+    return a, coeff_norm(a), e
 
 
 def norm(a: MultivectorLike) -> float:
@@ -705,15 +710,11 @@ def norm(a: MultivectorLike) -> float:
     Equals the Euclidean coefficient norm on blades.  A grade-2 element of
     El3 must satisfy the Plucker condition or be a Clifford bivector;
     otherwise the notion of a line norm does not apply and
-    NonSimpleBivector is raised.  When the squares overflow, the norm of
-    a * 2**-e (_scaled_down) is scaled back by 2**e, exactly.
+    NonSimpleBivector is raised.  When the squares overflow or underflow,
+    the norm of a * 2**-e (_scaled_down) is scaled back by 2**e, exactly.
     """
-    a = as_multivector(a)
-    n = _norm(a)
-    if n == math.inf:
-        scaled, e = _scaled_down(a)
-        n = _norm(scaled) * math.ldexp(1.0, e - 1) * 2.0     # inf, not OverflowError
-    return n
+    _, n, e = _norm(as_multivector(a))
+    return n * math.ldexp(1.0, e - 1) * 2.0 if e else n     # inf, not OverflowError
 
 
 def normalized(a: MultivectorLike) -> Multivector:
@@ -722,13 +723,9 @@ def normalized(a: MultivectorLike) -> Multivector:
     When the squares overflow or underflow, a is first scaled by a power
     of two (_scaled_down), which is exact and leaves the direction alone.
     """
-    a = as_multivector(a)
-    n = _norm(a)
-    if not 2.0 ** -480 < n < math.inf:
-        if not any(a._c):
-            raise ZeroInput("cannot normalise a zero element")
-        a = _scaled_down(a)[0]
-        n = _norm(a)
+    a, n, _ = _norm(as_multivector(a))
+    if not n:
+        raise ZeroInput("cannot normalise a zero element")
     return a * (1.0 / n)
 
 

@@ -84,7 +84,8 @@ def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector
     """
     a, p = as_multivector(a), as_multivector(p)
     result = inner(a, p)
-    if coeff_norm(result) <= epsilon() * max(coeff_norm(a) * coeff_norm(p), 1e-300):
+    r = math.hypot(*result._c)
+    if not r or r / math.hypot(*a._c) / math.hypot(*p._c) <= epsilon():
         raise DegeneratePolar("point lies at the polar point of the line")
     return result
 
@@ -162,7 +163,7 @@ def right_triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLi
     r = normalized(as_multivector(r))
     pq, pr = regressive(p, q), regressive(p, r)
     perp = inner(pq, pr).scalar_part
-    if abs(perp) > 1e-6 * max(coeff_norm(pq) * coeff_norm(pr), 1e-300):
+    if abs(perp) > 1e-6 * coeff_norm(pq) * coeff_norm(pr):
         raise ValueError("the angle at the first vertex is not right")
     triple = abs(regressive(regressive(p, q), r).scalar_part)
     s = triple / (1.0 + abs(inner(q, r).scalar_part))

@@ -414,7 +414,7 @@ def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
     pn = _require_line(phi, "phi")
     ln = _require_line(line)
     comm = commutator(pn, ln)
-    if coeff_norm(comm) <= epsilon() * coeff_norm(pn) * coeff_norm(ln):
+    if math.hypot(*comm._c) / math.hypot(*pn._c) / math.hypot(*ln._c) <= epsilon():
         zero = Multivector.zero(_S)
         return pn, ln, zero, zero
     b1, b2, degenerate = axis_split(comm)
@@ -552,7 +552,7 @@ def clifford_translate_quat(
     side = Side(side)
     ln = _require_line(origin_line, "origin line")
     off_origin = math.hypot(ln.coeff("e10"), ln.coeff("e20"), ln.coeff("e30"))
-    if off_origin > epsilon() * coeff_norm(ln):
+    if off_origin / math.hypot(*ln._c) > epsilon():
         raise NonOriginLine("Clifford translation quaternion form needs an origin line")
     ln = normalized(ln)
     s = math.sin(beta)

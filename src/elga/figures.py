@@ -22,8 +22,9 @@ el3); samples with |weight| < 1e-6 leave the chart and split the
 polyline, so emitted polylines contain only finite coordinates.  The CSV
 carries the raw normalised coefficients of every sample.
 
-write_csv formats one trajectory at a time from the columns it was sampled
-into (``FigureData.traces``), with the bytes csv.writer would give.
+Each trajectory is kept once, as the columns it was sampled into
+(``FigureData.traces``); write_csv formats them one trajectory at a time,
+with the bytes csv.writer would give.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from itertools import chain
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from . import el3
 from .algebra import Multivector, Record, Space, coeff_norm, dual_I, normalized, orbit, tables
@@ -43,18 +43,23 @@ CHART_CUTOFF = 1e-6
 
 
 class FigureData(Record):
-    """Polylines (already projected to 2D) plus the raw sample table: lists
-    of (label, points), (label, point) and rows, which build_figure extends.
+    """Polylines (already projected to 2D) and the sampled trajectories:
+    lists of (label, points), (label, point) and traces, which build_figure
+    extends.  A trace is (row prefix, [weight column, chart columns...]),
+    sampled at every value of the figure's one column ``t``."""
 
-    ``traces`` holds, per trajectory, the columns its rows were zipped from:
-    (row prefix, t column, coefficient columns, the rows it appended to
-    csv_rows).  write_csv formats from them while csv_rows still holds
-    exactly those rows."""
+    __slots__ = ("kind", "polylines", "markers", "csv_header", "t", "traces")
 
-    __slots__ = ("kind", "polylines", "markers", "csv_header", "csv_rows", "traces")
+    def __init__(self, kind: str, csv_header: Tuple[str, ...] = (), t: Sequence[float] = ()):
+        self._fill(kind, [], [], csv_header, t, [])
 
-    def __init__(self, kind: str, csv_header: Tuple[str, ...] = ()):
-        self._fill(kind, [], [], csv_header, [], [])
+    @property
+    def csv_rows(self) -> list:
+        """Every sample's CSV row, prefix + (t, weight, chart coefficients),
+        trace after trace.  Rebuilt from the traces on each access, so the
+        list is the caller's: editing it changes nothing in the figure."""
+        t = self.t
+        return [prefix + row for prefix, cols in self.traces for row in zip(t, *cols)]
 
 
 def _entity(scene: Scene, name: str) -> Multivector:
@@ -98,28 +103,25 @@ def _sample_table(stop: float, samples: int, endpoint: bool) -> Tuple[list, list
 
 def _add_trace(fig: FigureData, label: str, prefix: Tuple, table: Tuple[list, list, list],
                b: Multivector, x: Multivector) -> None:
-    """CSV rows, chart coordinates and polylines of the orbit of x under b.
+    """Coefficient columns, chart coordinates and polylines of the orbit of x under b.
 
-    The orbit is sampled at every t of the table from its closed form
-    A0 + Ac cos t + As sin t (algebra.orbit), one weight or chart column at
-    a time.  Each sample adds the row prefix + (t, weight, chart
-    coefficients), and fig.traces keeps the columns they were zipped from.
-    A sample whose weight is below CHART_CUTOFF leaves the chart and ends
-    the current run; runs are labelled label.0, label.1, ... in order, and
-    single-point runs are dropped.
+    The orbit is sampled at every t of the table, the figure's t column,
+    from its closed form A0 + Ac cos t + As sin t (algebra.orbit), one
+    weight or chart column at a time; fig.traces keeps the columns with the
+    row prefix.  A sample whose weight is below CHART_CUTOFF leaves the
+    chart and ends the current run; runs are labelled label.0, label.1, ...
+    in order, and single-point runs are dropped.
     """
-    ts, coss, sins = table
+    _, coss, sins = table
     a0, ac, as_ = orbit(b, x)
     names, view = _CHARTS[x.space]
     cols = []
     for slot, sign in map(tables(x.space).name_to_slot.__getitem__, names):
         p, c, s = a0._c[slot], ac._c[slot], as_._c[slot]
         cols.append([((p + cos * c) + sin * s) * sign for cos, sin in zip(coss, sins)])
-    rows = [prefix + row for row in zip(ts, *cols)]
-    fig.csv_rows.extend(rows)
-    fig.traces.append((prefix, ts, cols, rows))
+    fig.traces.append((prefix, cols))
     cuts = [i for i, w in enumerate(cols[0]) if not abs(w) >= CHART_CUTOFF]
-    bounds = [-1, *cuts, len(ts)]
+    bounds = [-1, *cuts, len(coss)]
     runs = [(i + 1, j) for i, j in zip(bounds, bounds[1:]) if j > i + 1]
     fig.polylines.extend([(f"{label}.{n}", view(*[col[i:j] for col in cols]))
                           for n, (i, j) in enumerate(runs) if j - i >= 2])
@@ -130,9 +132,9 @@ def _figure_circle(scene: Scene, samples: int) -> FigureData:
         raise SceneError("circle-trajectory requires an el2 scene")
     p = normalized(_entity(scene, "P"))
     r = normalized(_entity(scene, "R"))
-    fig = FigureData(kind="circle-trajectory",
-                     csv_header=("t", "e12", "e20", "e01"))
-    _add_trace(fig, "trajectory", (), _sample_table(2.0 * math.pi, samples, False), r, p)
+    table = _sample_table(2.0 * math.pi, samples, False)
+    fig = FigureData(kind="circle-trajectory", csv_header=("t", "e12", "e20", "e01"), t=table[0])
+    _add_trace(fig, "trajectory", (), table, r, p)
     if abs(r.coeff("e12")) >= CHART_CUTOFF:
         fig.markers.append(("R", (r.coeff("e20") / r.coeff("e12"),
                                   r.coeff("e01") / r.coeff("e12"))))
@@ -164,12 +166,10 @@ def _figure_parallels(scene: Scene, samples: int) -> FigureData:
     if family not in ("positive", "negative", "both"):
         raise SceneError("figure.family must be positive, negative or both")
     families = ("positive", "negative") if family == "both" else (family,)
-    fig = FigureData(
-        kind="clifford-parallels",
-        csv_header=("family", "index", "phi", "t", "e123", "e320", "e130", "e210"),
-    )
-    unit = normalized(line)
     table = _sample_table(math.pi, samples, True)
+    fig = FigureData(kind="clifford-parallels", t=table[0],
+                     csv_header=("family", "index", "phi", "t", "e123", "e320", "e130", "e210"))
+    unit = normalized(line)
     _sample_line(fig, "line", unit, table, ("line", -1, math.nan))
     frame, weight = el3.clifford_frame(unit), coeff_norm(unit)
     for fam in families:
@@ -188,9 +188,9 @@ def _figure_rotation(scene: Scene, samples: int) -> FigureData:
              if scene.roles.get(name) == "point"]
     if not seeds:
         raise SceneError("rotation-flow needs at least one point-role entity")
-    fig = FigureData(kind="rotation-flow",
-                     csv_header=("seed", "t", "e123", "e320", "e130", "e210"))
     table = _sample_table(2.0 * math.pi, samples, False)
+    fig = FigureData(kind="rotation-flow",
+                     csv_header=("seed", "t", "e123", "e320", "e130", "e210"), t=table[0])
     for name, seed in seeds:
         _add_trace(fig, name, (name,), table, axis, normalized(seed))
     return fig
@@ -212,51 +212,25 @@ def build_figure(scene: Scene, kind: str, samples: int) -> FigureData:
 # output
 
 
-def _csv_text(value, width: int) -> str:
-    """What csv.writer writes for value as one cell of a width-wide row
-    (a lone empty cell is quoted, one among others is not)."""
-    buf, pad = io.StringIO(), ("",) if width > 1 else ()
-    csv.writer(buf).writerow((value, *pad))
-    return buf.getvalue()[:-2 - len(pad)]
-
-
-def _trace_blocks(fig: FigureData, width: int):
-    """The CSV body of each trace, or None unless csv_rows is still, row for
-    row and by identity, the rows the traces appended at this width.
-
-    Each trace is one %-format: its prefix cells as csv.writer writes them
-    (with % escaped), then the figure's t column, formatted once, and its
-    coefficient columns by %r."""
-    traces = fig.traces
-    written = list(chain.from_iterable([rows for *_, rows in traces]))
-    if len(written) != len(fig.csv_rows) or not all(map(operator.is_, written, fig.csv_rows)) \
-            or any(len(prefix) + 1 + len(cols) != width for prefix, _, cols, _ in traces):
-        return None
-    t_text = {}                                     # by id of the t column
-    for _, ts, _, _ in traces:
-        if id(ts) not in t_text:
-            t_text[id(ts)] = list(map(float.__repr__, ts))
-    return [("".join([_csv_text(v, width).replace("%", "%%") + "," for v in prefix])
-             + "%s" + ",%r" * len(cols) + "\r\n") * len(ts)
-            % tuple(chain.from_iterable(zip(t_text[id(ts)], *cols)))
-            for prefix, ts, cols, _ in traces]
+def _csv_cell(value) -> str:
+    """What csv.writer writes for value as one cell of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[:-3]
 
 
 def write_csv(fig: FigureData, path: str) -> None:
-    """The header, then every row as csv.writer writes it: one block per
-    trace while csv_rows holds exactly the traces' rows (_trace_blocks),
-    csv.writer itself for any other rows."""
-    width, rows = len(fig.csv_header), fig.csv_rows
-    blocks = _trace_blocks(fig, width)
-    if blocks is None and rows and set(map(len, rows)) != {width}:
-        raise ValueError(f"every CSV row must have {width} cells, as the header has")
+    """The header, then csv_rows as csv.writer writes them, one trace at a
+    time: a single %-format per trace of its prefix cells (with % escaped),
+    the figure's t column, formatted once, and its columns by %r."""
+    t_text = list(map(float.__repr__, fig.t))
+    blocks = [("".join([_csv_cell(v).replace("%", "%%") + "," for v in prefix])
+               + "%s" + ",%r" * len(cols) + "\r\n") * len(t_text)
+              % tuple(chain.from_iterable(zip(t_text, *cols)))
+              for prefix, cols in fig.traces]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fig.csv_header)
-        if blocks is None:
-            writer.writerows(rows)
-        else:
-            fh.writelines(blocks)
+        csv.writer(fh).writerow(fig.csv_header)
+        fh.writelines(blocks)
 
 
 def write_svg(fig: FigureData, path: str) -> None:

@@ -247,6 +247,17 @@ def test_cli_norm_of_an_element_whose_squares_overflow(tmp_path):
     assert value == round_report(math.hypot(1e308, 1e308), 15) == 1.4142135623731e308
 
 
+def test_cli_norm_of_an_element_whose_squares_underflow(tmp_path):
+    scene = tmp_path / "tiny.json"
+    scene.write_text(json.dumps({
+        "space": "el2", "entities": {"a": {"coeffs": {"e12": 2.4e-181, "e20": 1.2e-181}}},
+        "queries": [{"name": "n", "op": "norm", "args": ["a"]}]}))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 0, result.stderr
+    value = json.loads(result.stdout)["results"][0]["value"]
+    assert value == round_report(math.hypot(2.4e-181, 1.2e-181), 15) == 2.68328157299975e-181
+
+
 def test_cli_eval_exit_1_on_unparseable(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")
@@ -704,9 +715,9 @@ def test_sample_table_is_numpy_linspace_bit_for_bit(stop, endpoint, samples):
     assert figures._sample_table(stop, samples, endpoint) == expected
 
 
-def _figure_data(header, rows):
-    fig = figures.FigureData("table", csv_header=header)
-    fig.csv_rows.extend(rows)
+def _figure_data(header, t, traces):
+    fig = figures.FigureData("table", csv_header=header, t=t)
+    fig.traces.extend(traces)
     return fig
 
 
@@ -717,29 +728,26 @@ def _reference_csv(fig, path):
         writer.writerows(fig.csv_rows)
 
 
-# labels csv must quote, cells a %r or a lookup table could get wrong (1, 1.0
-# and True are equal, so are -0.0 and 0.0), and the edge floats
-ODD_ROWS = [
-    ("a,b", -0.0, 0, 1.0, math.nan),
-    ('say "hi"', math.nan, -3, 1, 0.5),
-    ("two\nlines", math.inf, 10 ** 20, True, -0.0),
-    ("cr\rhere", -math.inf, 7, np.float64(0.1), 0.0),
-    ("", 5e-324, 1, -0.0, np.float64(-0.0)),
-    (None, 1.7976931348623157e308, 2, 0.0, None),
-    (True, -5e-324, 3, None, ""),
-    ("plain", -1.7976931348623157e308, 4, "", "a,b"),
-]
+# prefix cells csv must quote, or that a %-format or a lookup table could get
+# wrong (1, 1.0 and True are equal), and the edge floats for t and the columns
+ODD_PREFIXES = [("a,b", 0), ('say "hi"', -3), ("two\nlines", 10 ** 20), ("cr\rhere", 7),
+                ("", 1), (None, 2), (True, 3), ("plain", 1.0), ("100%", "%s"), ('""', "")]
+EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 
 
-@pytest.mark.parametrize("header, rows", [
-    (("label", "x", "n", "mixed", "other"), ODD_ROWS),
-    (("label",), [("",), (None,), ("a",), ("x\r\ny",), ("",)]),
-    (("x",), [(1.0,), (-0.0,), (math.nan,), (5,)]),
-    (("t", "x"), []),
-    ((), [(), ()]),
-], ids=["odd-cells", "one-label-column", "one-float-column", "no-rows", "no-columns"])
-def test_write_csv_matches_csv_writer(tmp_path, header, rows):
-    fig = _figure_data(header, rows)
+@pytest.mark.parametrize("header, t, traces", [
+    (("label", "n", "t", "x", "y"), EDGE_FLOATS,
+     [(prefix, [EDGE_FLOATS[::-1], EDGE_FLOATS[3:] + EDGE_FLOATS[:3]]) for prefix in ODD_PREFIXES]),
+    (("label", "t"), [1.0], [((v,), []) for v in ("", None, "a", "x\r\ny", "")]),
+    (("t",), EDGE_FLOATS, [((), [])]),
+    (("t", "x"), [], [((), [[]])]),
+    (("t", "x"), [0.5], []),
+    ((), [], []),
+], ids=["odd-cells", "one-label-column", "one-float-column", "no-rows", "no-traces", "no-columns"])
+def test_write_csv_matches_csv_writer(tmp_path, header, t, traces):
+    fig = _figure_data(header, t, traces)
+    assert len(fig.csv_rows) == len(t) * len(traces)
     figures.write_csv(fig, str(tmp_path / "fast.csv"))
     _reference_csv(fig, str(tmp_path / "reference.csv"))
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -762,7 +770,7 @@ def _odd_figure(kind):
 @pytest.mark.parametrize("kind", scene_mod.FIGURE_KINDS)
 def test_write_csv_of_built_figures_matches_csv_writer(tmp_path, kind):
     fig = _odd_figure(kind)
-    assert figures._trace_blocks(fig, len(fig.csv_header)) is not None    # the per-trace path
+    assert len(fig.csv_rows) == len(fig.t) * len(fig.traces) > 0
     if kind == "rotation-flow":
         assert set(ODD_NAMES) <= {row[0] for row in fig.csv_rows}
     figures.write_csv(fig, str(tmp_path / "fast.csv"))
@@ -770,28 +778,16 @@ def test_write_csv_of_built_figures_matches_csv_writer(tmp_path, kind):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-@pytest.mark.parametrize("edit", ["replace", "append"])
-def test_write_csv_of_an_edited_figure_matches_csv_writer(tmp_path, edit):
-    # the traces' columns no longer describe csv_rows, so they must not be written
+def test_csv_rows_is_a_copy_that_edits_do_not_reach(tmp_path):
     fig = _odd_figure("rotation-flow")
     figures.write_csv(fig, str(tmp_path / "before.csv"))
-    row = fig.csv_rows[12]
-    if edit == "replace":
-        fig.csv_rows[12] = (row[0], row[1], row[2] + 1.0, *row[3:])
-    else:
-        fig.csv_rows.append(row)
-    assert figures._trace_blocks(fig, len(fig.csv_header)) is None
-    figures.write_csv(fig, str(tmp_path / "fast.csv"))
-    _reference_csv(fig, str(tmp_path / "reference.csv"))
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert (tmp_path / "fast.csv").read_bytes() != (tmp_path / "before.csv").read_bytes()
-
-
-@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)]], ids=["short", "long"])
-def test_write_csv_refuses_a_row_unlike_the_header(tmp_path, rows):
-    with pytest.raises(ValueError, match="every CSV row must have 2 cells"):
-        figures.write_csv(_figure_data(("a", "b"), rows), str(tmp_path / "ragged.csv"))
-    assert not (tmp_path / "ragged.csv").exists()
+    rows = fig.csv_rows
+    row = rows[12]
+    rows[12] = (row[0], row[1], row[2] + 1.0, *row[3:])
+    rows.append(row)
+    figures.write_csv(fig, str(tmp_path / "after.csv"))
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+    assert fig.csv_rows == rows[:12] + [row] + rows[13:-1]
 
 
 SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '

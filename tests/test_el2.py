@@ -112,6 +112,14 @@ def test_perpendicular_degenerate_polar():
         el2.perpendicular_through(a, dual_I(a))
 
 
+@pytest.mark.parametrize("k", [-400, -300, 300, 400])
+def test_perpendicular_through_scales_with_its_operands(k):
+    # the zero test squared the result's norm, which underflowed at 2**-300
+    a, p = ln(0.3, 1, -0.5), pt(1, 0.2, 0.7)
+    s = 2.0 ** k
+    assert el2.perpendicular_through(a * s, p * s) == el2.perpendicular_through(a, p) * (s * s)
+
+
 def test_perpendicular_properties(rng):
     for _ in range(50):
         a, p = rand_line_el2(rng), rand_point(S, rng)

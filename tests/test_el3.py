@@ -596,13 +596,14 @@ def test_project_line_on_line_properties(rng):
         done += 1
 
 
-@pytest.mark.parametrize("k", [-20, -200, 200])
+@pytest.mark.parametrize("k", [-20, -200, 200, -400, -300, 300, 400])
 @pytest.mark.parametrize("op", [el3.project_line_on_line, el3.reject_line_by_line],
                          ids=lambda op: op.__name__)
 @pytest.mark.parametrize("kind", [1, 2])
 def test_line_on_line_ops_scale_with_their_lines(op, kind, k):
     # the bundled scene's line and beam; the commutator's zero test was
-    # absolute, so at 2**-20 it read the pair as commuting
+    # absolute, so at 2**-20 it read the pair as commuting, and then
+    # squared the commutator's norm, which underflowed at 2**-300
     phi = Multivector.from_terms(S, {"e20": -1 / 3, "e30": 1, "e23": 1, "e31": -1,
                                      "e12": -1 / 3})
     beam = Multivector.from_terms(S, {"e10": 1, "e20": 1, "e23": -3, "e31": 3, "e12": 2})
@@ -782,6 +783,19 @@ def test_quaternion_matches_sandwich(rng):
 def test_quaternion_rejects_non_origin_line():
     with pytest.raises(el3.NonOriginLine):
         el3.clifford_translate_quat(el3.ORIGIN, REF_LINE, 0.5, "right")
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+def test_quaternion_origin_test_is_the_same_at_every_scale(k):
+    # the test squared the line's norm, which overflowed to inf at 2**600
+    # and let any line through
+    off = Multivector.from_terms(S, {"e10": math.ldexp(0.5, k), "e31": math.ldexp(1.0, k)})
+    with pytest.raises(el3.NonOriginLine):
+        el3.clifford_translate_quat(el3.ORIGIN, off, 0.5, "right")
+    origin_line = Multivector.from_terms(S, {"e23": math.ldexp(0.6, k), "e12": math.ldexp(0.8, k)})
+    p = point(2, 0.5, -1, 0.25)
+    assert (el3.clifford_translate_quat(p, origin_line, 0.5, "left")
+            == el3.clifford_translate_quat(p, origin_line * 2.0 ** -k, 0.5, "left"))
 
 
 # ---------------------------------------------------------------------------
