@@ -232,6 +232,9 @@ class _Tables:
         self.j_signs = tuple(s * pseudo_sq for s in self.j_inv_signs)
         self.reverse_signs = tuple(-1.0 if k % 4 >= 2 else 1.0 for k in g)
         self.parity_signs = tuple(-1.0 if k % 2 else 1.0 for k in g)
+        # grade k's part: slot u where u has grade k, else the 0.0 appended at index n
+        self.grade_picks = {k: operator.itemgetter(*[u if g[u] == k else n for u in range(n)])
+                            for k in range(dim + 1)}
         # grade mask of the dual: grade k <-> dim - k
         self.dual_mask = tuple(sum(1 << (dim - k) for k in range(dim + 1) if m >> k & 1)
                                for m in range(1 << (dim + 1)))
@@ -611,9 +614,10 @@ def _involute(a: Multivector) -> Multivector:
 def grade(a: MultivectorLike, k: int) -> Multivector:
     """Projection onto grade k."""
     a = as_multivector(a)
-    g = _TABLES[a._space].grades
-    return _new(a._space, tuple([x if gi == k else 0.0 for gi, x in zip(g, a._c)]),
-                a._mask & (1 << k))
+    pick = _TABLES[a._space].grade_picks.get(k)
+    if pick is None:
+        return Multivector.zero(a._space)
+    return _new(a._space, pick(a._c + (0.0,)), a._mask & (1 << k))
 
 
 def _sum_squares(c: Iterable[float]) -> float:
@@ -801,9 +805,16 @@ class Spinor:
         return self.mv.space
 
     def apply(self, x: MultivectorLike) -> Multivector:
-        """Sandwich action S x S**-1 (= S x ~S)."""
+        """Sandwich action S x S**-1 (= S x ~S).
+
+        A motion keeps grade: when x has the single grade k, so has the
+        result, and the rounding left in other grades is dropped.  An x of
+        several grades gets the full sandwich.
+        """
         x = as_multivector(x)
-        return geometric_product(geometric_product(self.mv, x), reverse(self.mv))
+        moved = geometric_product(geometric_product(self.mv, x), reverse(self.mv))
+        mask = x._mask
+        return grade(moved, mask.bit_length() - 1) if mask and not mask & (mask - 1) else moved
 
     def __mul__(self, other: "Spinor") -> "Spinor":
         return _spinor(geometric_product(self.mv, other.mv))
@@ -819,53 +830,41 @@ def _spinor(mv: Multivector) -> Spinor:
     return s
 
 
-def _exp_simple(b: Multivector) -> Multivector:
-    """exp of a bivector whose square is a (non-positive) scalar."""
-    s = inner(b, b).scalar_part
-    theta = math.sqrt(max(-s, 0.0))
-    if theta < 1e-30:
-        return Multivector.scalar(b.space, 1.0) + b
-    return Multivector.scalar(b.space, math.cos(theta)) + b * (math.sin(theta) / theta)
+def _sinc(x: float) -> float:
+    """sin(x)/x, 1 at x = 0."""
+    return math.sin(x) / x if x else 1.0
 
 
-def axis_split(b: Multivector, halves: tuple = ()):
+def _from_halves(C: tuple, D: tuple, s: float = 0.0, p: float = 0.0, mask: int = 0b100):
+    """The El3 element s + (bivector of self-dual half C, anti-self-dual half D) + p I."""
+    (cx, cy, cz), (dx, dy, dz) = C, D
+    # C = cx (e10 + e23) + cy (e20 + e31) + cz (e30 + e12), D = dx (e23 - e10) + ...
+    return _new(Space.EL3, (s, 0.0, 0.0, dx - cx, 0.0, dy - cy, cz + dz, 0.0,
+                            0.0, dz - cz, -(cy + dy), 0.0, cx + dx, 0.0, 0.0, p), mask)
+
+
+def axis_split(b: Multivector):
     """Split an El3 bivector into complementary commuting parts.
 
-    Returns (b1, b2, degenerate), deciding on the halves' lengths (_halves,
-    or the given halves of b).
-    Simple input gives b1 = b, b2 = 0.  When b is Clifford, or within
-    sqrt(tolerance) of it, the split is not unique or ill-conditioned, and
-    the origin line and its polar come back with degenerate = True;
-    otherwise b1 = b(1 - c1 I)/(1 - c1^2) is the larger axis, with
-    c1 = (w/2)/x1 a ratio of <b ~b>_0 and <b^b>_4, read off b scaled to unit
-    size by a power of two wherever their squares would leave the normal floats.
+    Returns (b1, b2, degenerate), deciding on the lengths c, d of b's
+    self-dual and anti-self-dual halves C, D (_halves).  Simple input gives
+    b1 = b, b2 = 0.  When b is Clifford, or within sqrt(tolerance) of it, the
+    split is not unique or ill-conditioned, and the origin line and its polar
+    come back with degenerate = True.  Otherwise the axes are the closed forms
+    b1 = ((c + d)/2)(C/c + D/d), the larger, and b2 = ((c - d)/2)(C/c - D/d)
+    (Roelfs & De Keninck, arXiv:2107.03771), which scale with b bit for bit.
     """
-    _, _, c, d = halves or _halves(b)
+    C, D, c, d = _halves(b)
     if _simple(c, d):
         return b, Multivector.zero(b.space), False
-    big = max(c, d)
-    r = min(c, d) / big
+    r = min(c, d) / max(c, d)
     if 2.0 * r <= math.sqrt(epsilon()) * (1.0 + r * r):
         b1 = Multivector.from_terms(b.space, {n: b.coeff(n) for n in ("e23", "e31", "e12")})
         return b1, b - b1, True
-    unit = b if 2.0 ** -200 < big < 2.0 ** 200 else _scaled_down(b)[0]
-    n2, w = _sum_squares(unit._c), outer(unit, unit).pseudo_part
-    x1 = -0.5 * (n2 + math.sqrt(n2 * n2 - w * w))  # larger axis: more negative square
-    c1 = (w / 2.0) / x1
-    inv = (Multivector.scalar(b.space, 1.0) - dual_I(Multivector.scalar(b.space, c1))) * (
-        1.0 / (1.0 - c1 * c1)
-    )
-    b1 = geometric_product(b, inv)
-    return b1, b - b1, False
-
-
-# An El3 bivector whose halves have 0 < min(c, d) < _NEAR_CLIFFORD * max(c, d)
-# is exponentiated by _exp_halves.  axis_split's axes lose digits as about
-# eps * (c/d)**2 towards Clifford (1e-5 at d/c = 1e-5), while the closed form
-# stays within a few ulps.  Elsewhere the two agree but for the last bits,
-# which the bundled golden reports pin, and an exactly Clifford bivector
-# (min(c, d) = 0) splits exactly into an origin line and its polar.
-_NEAR_CLIFFORD = 0.1
+    s, t = 0.5 * c + 0.5 * d, 0.5 * c - 0.5 * d
+    u, v = [x / c for x in C], [x / d for x in D]       # the unit halves C/c, D/d
+    return (_from_halves([s * x for x in u], [s * x for x in v]),
+            _from_halves([t * x for x in u], [-t * x for x in v]), False)
 
 
 def _exp_halves(C: tuple, D: tuple, c: float, d: float) -> Multivector:
@@ -873,38 +872,29 @@ def _exp_halves(C: tuple, D: tuple, c: float, d: float) -> Multivector:
     (_halves), with P+- = (1 +- I)/2, k = 2c and l = 2d: C and D commute,
     C**2 = -k**2 P+ and D**2 = -l**2 P- (Roelfs & De Keninck, arXiv:2107.03771)."""
     k, l = 2.0 * c, 2.0 * d
-    ck, cl, sk, sl = math.cos(k), math.cos(l), math.sin(k) / k, math.sin(l) / l
-    (cx, cy, cz), (dx, dy, dz) = [sk * x for x in C], [sl * x for x in D]
-    # C = cx (e10 + e23) + cy (e20 + e31) + cz (e30 + e12), D = dx (e23 - e10) + ...
-    return _new(Space.EL3, (0.5 * (ck + cl), 0.0, 0.0, dx - cx, 0.0, dy - cy, cz + dz, 0.0,
-                            0.0, dz - cz, -(cy + dy), 0.0, cx + dx, 0.0, 0.0, 0.5 * (ck - cl)),
-                0b10101)
+    ck, cl, sk, sl = math.cos(k), math.cos(l), _sinc(k), _sinc(l)
+    return _from_halves([sk * x for x in C], [sl * x for x in D],
+                        0.5 * (ck + cl), 0.5 * (ck - cl), 0b10101)
 
 
 def exp_bivector(b: MultivectorLike) -> Spinor:
     """Exponential of a grade-2 element, as a unit spinor.
 
-    In El1/El2 the square of a bivector is a scalar and the closed
-    cos/sinc form applies directly.  In El3 a bivector near Clifford
-    (_NEAR_CLIFFORD) takes the closed form of its halves; any other is split
-    into commuting axes and the factors multiplied (a simple one is its own
-    axis).  The result is unit by construction and is not checked again.
+    In El1/El2 a bivector squares to -|b|**2, so exp(b) = cos|b| + (sin|b|/|b|) b.
+    In El3 exp(b) is the closed form of b's self-dual and anti-self-dual
+    halves (_exp_halves), which a simple bivector (c = d) reduces to the
+    same cos/sinc form, and an exactly Clifford one (c or d zero) takes with
+    sin x/x = 1 at x = 0.  The lengths come from math.hypot, so nothing is
+    squared.  The result is unit by construction and is not checked again.
     """
     b = as_multivector(b)
     g = b.grades()
     if g not in ((), (2,)):
         raise AlgebraError(f"exp_bivector needs a grade-2 argument, got grades {g}")
-    if b.space is not Space.EL3:
-        return _spinor(_exp_simple(b))
-    halves = _halves(b)
-    _, _, c, d = halves
-    if 0.0 < min(c, d) < _NEAR_CLIFFORD * max(c, d):
-        return _spinor(_exp_halves(*halves))
-    b1, b2, _ = axis_split(b, halves)
-    value = _exp_simple(b1)
-    if b2._mask:                    # b2 is the zero of the simple branch otherwise
-        value = geometric_product(value, _exp_simple(b2))
-    return _spinor(value)
+    if b.space is Space.EL3:
+        return _spinor(_exp_halves(*_halves(b)))
+    theta = math.hypot(*b._c)
+    return _spinor(Multivector.scalar(b.space, math.cos(theta)) + b * _sinc(theta))
 
 
 # A normalised generator squares to -1 only up to rounding; the unit check

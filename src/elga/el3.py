@@ -171,9 +171,12 @@ def angle_line_plane(line: MultivectorLike, a: MultivectorLike) -> float:
 class AxisDecomposition(Record):
     """Complementary axes of a bivector: larger + smaller = input.
 
-    The axes satisfy L1.L2 = 0 and L1 x L2 = 0.  When the input is Clifford,
-    or within sqrt(tolerance) of it, the split is not unique or ill-conditioned;
-    the canonical origin-line split is returned with degenerate = True.
+    The axes satisfy L1.L2 = 0 and L1 x L2 = 0.  A line is its own larger
+    axis; any other bivector has the closed-form axes ((c +- d)/2)(C/c +- D/d)
+    of its self-dual and anti-self-dual halves (algebra.axis_split).  When
+    the input is Clifford, or within sqrt(tolerance) of it, the split is not
+    unique or ill-conditioned; the canonical origin-line split is returned
+    with degenerate = True.
     """
 
     __slots__ = ("larger", "smaller", "degenerate")
@@ -574,8 +577,9 @@ def point_on_line(line: MultivectorLike) -> Multivector:
     """A normalised point incident with the line (projection of a seed)."""
     ln = _require_line(line)
     for seed in ("e123", "e320", "e130", "e210"):
+        # (P.L) L**-1 has the unit weight of the seed P, whatever the line's
         candidate = project_on_line(Multivector.basis(_S, seed), ln)
-        if coeff_norm(candidate) > 1e-6 * coeff_norm(ln):
+        if coeff_norm(candidate) > 1e-6:
             return normalized(candidate)
     raise AlgebraError("could not find a point on the line")
 

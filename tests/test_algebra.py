@@ -502,6 +502,44 @@ def test_exp_reverse_is_exp_of_negative(rng):
         assert_mv_close(reverse(exp_bivector(b).mv), exp_bivector(-b).mv, 1e-12)
 
 
+_BIVECTORS = {
+    "el1": {"e01": 1.0},
+    "el2": {"e12": 1.0, "e20": 2.0},
+    "el3-line": {"e10": 1.0, "e12": 0.5},
+    "el3-generic": {"e10": 0.3, "e20": -0.2, "e30": 0.7, "e23": 0.5, "e31": 0.1, "e12": -0.4},
+}
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("name", sorted(_BIVECTORS))
+def test_exp_takes_any_finite_bivector(name, k):
+    # the angle came from sqrt(-b.b), whose square overflowed from about
+    # 1e154 on, and cos(inf) raised "math domain error"
+    space = Space.from_tag(name[:3])
+    b = Multivector.from_terms(space, _BIVECTORS[name]) * 2.0 ** k
+    s = exp_bivector(b).mv
+    assert all(map(math.isfinite, s.coeffs))
+    assert_mv_close(geometric_product(s, reverse(s)), Multivector.scalar(space, 1.0), 1e-14)
+    if k < 0:       # exp(b) = 1 + b to double precision
+        assert_mv_close((s - 1.0) * 2.0 ** -k, b * 2.0 ** -k, 1e-15)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_a_motion_keeps_the_grade_of_what_it_moves(space, rng):
+    # S x ~S of a grade-k x is grade k: a point stays a point, a line a
+    # line and a plane a plane, with no rounding left in other grades
+    for _ in range(50):
+        s = rand_spinor(space, rng)
+        for k in range(1, space.dim):
+            x = rand_blade_coeffs(space, k, rng)
+            sandwich = geometric_product(geometric_product(s.mv, x), reverse(s.mv))
+            moved = s.apply(x)
+            assert moved._mask == 1 << k
+            assert moved == grade(sandwich, k)
+        x = rand_mv(space, rng)         # several grades: the full sandwich
+        assert s.apply(x) == geometric_product(geometric_product(s.mv, x), reverse(s.mv))
+
+
 def test_spinor_validation():
     with pytest.raises(AlgebraError):
         Spinor(Multivector.basis(Space.EL2, "e0"))       # odd grade

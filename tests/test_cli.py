@@ -665,7 +665,7 @@ FIGURE_DIGESTS = {
         ("42cb317a9d62a1f67747af13b1c0dea3560720eb5980df93abeec8f2c0e49347",
          "8c0680c16583688f95a7a6047faf57cc4647092cb64da29c5b9acd6fe093e48b"),
     ("paper_el3", "clifford-parallels"):
-        ("7d001b3e28e0db6fe11b511dcb0b92b3f607f1b71d694f27c9fac38a8d5b6edd",
+        ("444fdadacf5a69f29fa5bc138e14a437dd1771be76b858bfa0d743cbf83a5665",
          "b410dfb1e36b2f3fc3d88420dbde676a4fb0b0b7f94e72b61d017e4d6698c32c"),
     ("paper_el3", "rotation-flow"):
         ("4b15f4cbf3b021dad5170c7edfc07902e8862cdd103c86577b1eaf3b54e09d81",

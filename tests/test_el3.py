@@ -222,6 +222,21 @@ def _near_clifford(rng, ratio, family):
     return self_dual * ratio + anti
 
 
+@pytest.mark.parametrize("j", range(1, 5))
+def test_axes_stay_exact_towards_clifford(j, rng):
+    # d/c = 10**-j; the generic axes lost about eps_mach * (c/d)**2 here,
+    # 5.0e-9 at j = 4, where the closed form keeps a few ulps
+    for _ in range(100):
+        b = _near_clifford(rng, 10.0 ** -j, el3.Family.POSITIVE)
+        b1, b2, degenerate = axis_split(b)
+        assert not degenerate
+        size = coeff_norm(b)
+        for axis in (b1, b2):
+            assert abs(plucker_residual(axis)) / coeff_norm(axis) ** 2 <= 1e-14
+        assert coeff_norm(commutator(b1, b2)) / size ** 2 <= 1e-14
+        assert coeff_norm(b1 + b2 - b) / size <= 1e-14
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), j=st.integers(0, 12),
        family=st.sampled_from(list(el3.Family)), k=st.integers(-1074, 1023))
@@ -620,6 +635,13 @@ def test_point_on_line_ops_are_the_same_at_every_power_of_two_scale(op, k):
     assert op(p, REF_LINE * 2.0 ** k) == op(p, REF_LINE)
 
 
+@pytest.mark.parametrize("k", [20, -300, 300, -600, 600])
+def test_point_on_line_is_the_same_at_every_power_of_two_scale(k):
+    # the seed's projection was compared with the line's weight, so a line
+    # of weight 2**20 or more found no point on it
+    assert el3.point_on_line(REF_LINE * 2.0 ** k) == el3.point_on_line(REF_LINE)
+
+
 def test_project_line_on_line_degenerate(rng):
     lam = rand_line_el3(rng)
     par = el3.clifford_parallel(lam, "positive", 0.3, 1.0)
@@ -693,18 +715,29 @@ def test_double_rotation_isometry(rng):
         assert abs(d0 - d1) < 1e-10
 
 
+def _product_of_the_two_rotations_error(rng, ratio):
+    """|exp(-(alpha + beta I)/2 L) - exp(-alpha/2 L) exp(-beta/2 IL)| at beta = ratio * alpha."""
+    lam = rand_line_el3(rng)
+    alpha = rng.uniform(0.1, 3.0)
+    beta = alpha * ratio
+    want = geometric_product(exp_bivector(lam * (-alpha / 2)).mv,
+                             exp_bivector(dual_I(lam) * (-beta / 2)).mv)
+    return coeff_norm(el3.double_rotation_spinor(lam, alpha, beta).mv - want)
+
+
 @pytest.mark.parametrize("j", range(1, 9))
 def test_double_rotation_near_clifford_is_the_product_of_its_two_rotations(j, rng):
     # at beta/alpha - 1 = 10**-j the generator's halves have d/c of about
-    # 10**-j / 2; the axes of axis_split were off by up to 1.1e-5 there
+    # 10**-j / 2; the axes of the old generic split were off by up to 1.1e-5 there
     for _ in range(20):
-        lam = rand_line_el3(rng)
-        alpha = rng.uniform(0.1, 3.0)
-        beta = alpha * (1.0 + 10.0 ** -j)
-        want = geometric_product(exp_bivector(lam * (-alpha / 2)).mv,
-                                 exp_bivector(dual_I(lam) * (-beta / 2)).mv)
-        got = el3.double_rotation_spinor(lam, alpha, beta).mv
-        assert coeff_norm(got - want) <= 1e-14
+        assert _product_of_the_two_rotations_error(rng, 1.0 + 10.0 ** -j) <= 1e-15
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e-8, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-5, 1 - 1e-8, 1.0])
+def test_double_rotation_is_the_product_of_its_two_rotations_from_simple_to_clifford(ratio, rng):
+    # beta/alpha = 0 is a simple generator, 1 an exactly Clifford one
+    for _ in range(20):
+        assert _product_of_the_two_rotations_error(rng, ratio) <= 1e-15
 
 
 def test_clifford_translate_identity_and_closed_form(rng):
