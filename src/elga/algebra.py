@@ -867,11 +867,18 @@ def axis_split(b: Multivector):
             _from_halves([t * x for x in u], [-t * x for x in v]), False)
 
 
+def _angle(x: float, name: str) -> float:
+    """A rotation angle of exp_bivector; one that overflowed is refused by name."""
+    if x == math.inf:
+        raise AlgebraError(f"exp_bivector: the rotation angle {name} overflows")
+    return x
+
+
 def _exp_halves(C: tuple, D: tuple, c: float, d: float) -> Multivector:
     """exp(b) = cos k P+ + cos l P- + (sin k/k) C + (sin l/l) D from b's halves
     (_halves), with P+- = (1 +- I)/2, k = 2c and l = 2d: C and D commute,
     C**2 = -k**2 P+ and D**2 = -l**2 P- (Roelfs & De Keninck, arXiv:2107.03771)."""
-    k, l = 2.0 * c, 2.0 * d
+    k, l = _angle(2.0 * c, "2|C|"), _angle(2.0 * d, "2|D|")
     ck, cl, sk, sl = math.cos(k), math.cos(l), _sinc(k), _sinc(l)
     return _from_halves([sk * x for x in C], [sl * x for x in D],
                         0.5 * (ck + cl), 0.5 * (ck - cl), 0b10101)
@@ -885,7 +892,8 @@ def exp_bivector(b: MultivectorLike) -> Spinor:
     halves (_exp_halves), which a simple bivector (c = d) reduces to the
     same cos/sinc form, and an exactly Clifford one (c or d zero) takes with
     sin x/x = 1 at x = 0.  The lengths come from math.hypot, so nothing is
-    squared.  The result is unit by construction and is not checked again.
+    squared; an angle beyond the float range raises AlgebraError naming it.
+    The result is unit by construction and is not checked again.
     """
     b = as_multivector(b)
     g = b.grades()
@@ -893,7 +901,7 @@ def exp_bivector(b: MultivectorLike) -> Spinor:
         raise AlgebraError(f"exp_bivector needs a grade-2 argument, got grades {g}")
     if b.space is Space.EL3:
         return _spinor(_exp_halves(*_halves(b)))
-    theta = math.hypot(*b._c)
+    theta = _angle(math.hypot(*b._c), "|b|")
     return _spinor(Multivector.scalar(b.space, math.cos(theta)) + b * _sinc(theta))
 
 

@@ -47,45 +47,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scope = (contextlib.nullcontext() if args.tolerance is None
-                 else algebra.tolerance(args.tolerance))
-    except ValueError as e:
+        with (contextlib.nullcontext() if args.tolerance is None
+              else algebra.tolerance(args.tolerance)):
+            return _run(args)
+    except (ValueError, scene_mod.SceneError) as e:         # a bad tolerance, scene or figure
         print(f"error: {e}", file=sys.stderr)
         return 1
-    with scope:
-        return _run(args)
+    except (scene_mod.QueryError, algebra.AlgebraError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def _run(args) -> int:
-    try:
-        scn = scene_mod.load_scene_file(args.scene)
-    except scene_mod.SceneError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
+    scn = scene_mod.load_scene_file(args.scene)
     if args.command == "eval":
-        try:
-            report = scene_mod.evaluate_scene(scn)
-        except scene_mod.QueryError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        sys.stdout.write(scene_mod.report_to_json(report))
+        sys.stdout.write(scene_mod.report_to_json(scene_mod.evaluate_scene(scn)))
         return 0
-
     from . import figures      # it imports el3, which `elga eval` loads only for el3 scenes
-    try:
-        fig = figures.build_figure(scn, args.kind, args.samples)
-    except scene_mod.SceneError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except algebra.AlgebraError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    fig = figures.build_figure(scn, args.kind, args.samples)
     base, ext = os.path.splitext(args.out)
-    if ext.lower() in (".svg", ".csv"):
-        svg_path, csv_path = base + ".svg", base + ".csv"
-    else:
-        svg_path, csv_path = args.out + ".svg", args.out + ".csv"
+    if ext.lower() not in (".svg", ".csv"):
+        base = args.out
+    svg_path, csv_path = base + ".svg", base + ".csv"
     for write, path in ((figures.write_svg, svg_path), (figures.write_csv, csv_path)):
         try:
             write(fig, path)

@@ -63,9 +63,9 @@ class PointEl2(geometry.BladeView):
     y = geometry.coeff_property("e01")
 
     def chart_xy(self) -> Tuple[float, float]:
-        """Affine-chart coordinates (x/w, y/w); w must not vanish."""
+        """Affine-chart coordinates (x/w, y/w); w must not be zero."""
         w = self.w
-        if abs(w) < 1e-300:
+        if not w:
             raise ZeroDivisionError("point lies on e0; no chart coordinates")
         return self.x / w, self.y / w
 
@@ -126,31 +126,20 @@ def _oriented_vertices(t: TriangleEl2):
 
 
 def triangle_area(t: TriangleEl2) -> float:
-    """Area as the angular excess of the triangle's interior angles.
+    """Area as the angular excess E of the triangle, in closed form.
 
-    Equivalent to the alpha + beta - gamma form with the side lines
-    oriented as the bounded region dictates; computing interior angles
-    directly avoids per-configuration orientation flips.  Agrees with the
+    On the vertices of _oriented_vertices, whose side cosines are
+    cos a = -Q.R, cos b = -P.R and cos c = -P.Q, the excess is the solid
+    angle of Van Oosterom & Strackee (IEEE TBME 1983):
+    E = 2 atan2(|PvQvR|, 1 + cos a + cos b + cos c).  No interior angle is
+    formed, so thin triangles keep their digits.  Agrees with the
     right-angle sine formula whenever that applies, and caps at pi/2.
     """
     p, q, r = _oriented_vertices(t)
-    if abs(regressive(regressive(p, q), r).scalar_part) <= epsilon():
+    triple = abs(regressive(regressive(p, q), r).scalar_part)
+    if triple <= epsilon():
         raise ValueError("collinear vertices: degenerate triangle")
-    cos_a = _cos_side(q, r)                  # side opposite p
-    cos_b = _cos_side(p, r)
-    cos_c = _cos_side(p, q)
-    sin_a = coeff_norm(regressive(q, r))
-    sin_b = coeff_norm(regressive(p, r))
-    sin_c = coeff_norm(regressive(p, q))
-
-    def interior(cos_opp, cos_1, cos_2, sin_1, sin_2):
-        c = (cos_opp - cos_1 * cos_2) / (sin_1 * sin_2)
-        return math.acos(max(-1.0, min(1.0, c)))
-
-    ang_p = interior(cos_a, cos_b, cos_c, sin_b, sin_c)
-    ang_q = interior(cos_b, cos_a, cos_c, sin_a, sin_c)
-    ang_r = interior(cos_c, cos_a, cos_b, sin_a, sin_b)
-    return ang_p + ang_q + ang_r - math.pi
+    return 2.0 * math.atan2(triple, 1.0 + _cos_side(q, r) + _cos_side(p, r) + _cos_side(p, q))
 
 
 def right_triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:

@@ -18,8 +18,10 @@ from . import geometry
 from .algebra import (
     epsilon,
     _clifford,
+    _from_halves,
     _halves,
     _new,
+    _scaled_down,
     AlgebraError,
     Multivector,
     MultivectorLike,
@@ -29,7 +31,6 @@ from .algebra import (
     as_multivector,
     axis_split,
     coeff_norm,
-    commutator,
     dual_I,
     exp_bivector,
     geometric_product,
@@ -204,6 +205,11 @@ class CliffordFrame(Record):
     plus and minus are the origin lines along 2C and -2D for the line's
     halves C and D ((p10 +- p23) e23 + ...); the perp companions are
     deterministic perpendicular origin lines anchoring the phi = 0 phase.
+    The parallel is line - cos(theta)(I omega -+ omega), - for positive, with
+    omega = a cos(theta) + sin(theta)(cos(phi)(p x a) + sin(phi) p) the axis a
+    (minus for positive, plus for negative) turned about its perp p, then about
+    a, as a unit 3-vector (so(4) = so(3) + so(3)).  In halves that is
+    (plus/2, u/2) or (-u/2, -minus/2), u = cos(2 theta) a + sin(2 theta)(...).
     """
 
     __slots__ = ("line", "minus", "plus", "minus_perp", "plus_perp")
@@ -219,8 +225,12 @@ class CliffordFrame(Record):
             raise ValueError("theta must lie in [0, pi]")
         axis, perp = ((self.minus, self.minus_perp) if family is Family.POSITIVE
                       else (self.plus, self.plus_perp))
-        omega = _omega(axis, perp, phi, theta)
-        return self.line - (dual_I(omega) - omega * _SIGN[family]) * math.cos(theta)
+        a, p = _direction(axis), _direction(perp)
+        c2, s2, cp, sp = math.cos(2.0 * theta), math.sin(2.0 * theta), math.cos(phi), math.sin(phi)
+        half = [0.5 * (c2 * x + s2 * (cp * y + sp * z)) for x, y, z in zip(a, _cross(p, a), p)]
+        if family is Family.POSITIVE:
+            return _from_halves([0.5 * x for x in _direction(self.plus)], half)
+        return _from_halves([-x for x in half], [-0.5 * x for x in _direction(self.minus)])
 
 
 _Vec3 = Tuple[float, float, float]
@@ -236,6 +246,10 @@ def _length(v: _Vec3) -> float:
 
 def _origin_line(direction: _Vec3) -> Multivector:
     return Multivector.from_terms(_S, dict(zip(("e23", "e31", "e12"), direction)))
+
+
+def _direction(origin_line: Multivector) -> _Vec3:
+    return tuple([origin_line.coeff(n) for n in ("e23", "e31", "e12")])
 
 
 def _perp_origin_line(direction: _Vec3) -> Multivector:
@@ -255,11 +269,6 @@ def clifford_frame(line: MultivectorLike) -> CliffordFrame:
     minus, plus = tuple([-2.0 * x for x in D]), tuple([2.0 * x for x in C])
     return CliffordFrame(ln, _origin_line(minus), _origin_line(plus),
                          _perp_origin_line(minus), _perp_origin_line(plus))
-
-
-def _omega(axis: Multivector, axis_perp: Multivector, phi: float, theta: float) -> Multivector:
-    s = exp_bivector(axis * (-0.5 * phi)) * exp_bivector(axis_perp * (-0.5 * theta))
-    return s.apply(axis)
 
 
 def clifford_parallel(
@@ -291,7 +300,9 @@ class CliffordBivector(Record):
     def from_bivector(cls, mv: MultivectorLike) -> "CliffordBivector":
         mv = as_multivector(mv)
         for sign in _families(mv):
-            return cls(mv, sign)
+            xi = cls.__new__(cls)          # the family is checked: no second check
+            xi._fill(mv, sign)
+            return xi
         raise ValueError("bivector is not fixed by the pseudoscalar (not Clifford)")
 
 
@@ -349,27 +360,36 @@ class LineLineMetrics(Record):
         self._fill(r, alpha, r1, r2, relation)
 
 
+def _unit_halves(x: Multivector) -> Tuple[_Vec3, _Vec3]:
+    """The halves C, D of a line over its norm, scaled first as in algebra.normalized."""
+    n = math.hypot(*x._c)
+    if not 2.0 ** -480 < n < math.inf:
+        return _unit_halves(_scaled_down(x)[0])     # largest coefficient in [0.5, 1)
+    C, D, _, _ = _halves(x)
+    return tuple([v / n for v in C]), tuple([v / n for v in D])
+
+
 def line_line_metrics(line: MultivectorLike, other: MultivectorLike) -> LineLineMetrics:
     """Distance, angle and relation of two lines.
 
-    With u = L.Phi and v = L v Phi on normalised lines, the separations
-    r1 <= r2 satisfy cos r1 cos r2 = |u| and sin r1 sin r2 = |v|.  The
-    commutator L x Phi has halves of lengths sin(r2 - r1)/2 (near) and
-    sin(r1 + r2)/2 (far), the self-dual one near when u*v > 0, so
-    r2 - r1 = atan2(2 near, |u| + |v|) and r1 + r2 = atan2(2 far, |u| - |v|)
+    For unit lines with halves (C, D) and (C', D') (algebra._halves),
+    u = <L Phi>_0 = -2(C.C' + D.D'), v = (L v Phi)_0 = 2(D.D' - C.C') and
+    L x Phi has the halves -2 C x C' and -2 D x D', of lengths sin(r2 - r1)/2
+    (near) and sin(r1 + r2)/2 (far), the self-dual one near when u*v > 0.
+    The separations r1 <= r2 satisfy cos r1 cos r2 = |u|, sin r1 sin r2 = |v|,
+    so r2 - r1 = atan2(2 near, |u| + |v|) and r1 + r2 = atan2(2 far, |u| - |v|)
     without cancellation.  r = r1 and cos alpha = -u / cos r.  Skew lines
     are Clifford parallel when the commutator passes the Clifford test or
     vanishes within tolerance (a line and its polar), and generic otherwise.
     """
-    ln = normalized(_require_line(line))
-    on = normalized(_require_line(other, "other line"))
-    u = inner(ln, on).scalar_part
-    v = regressive(ln, on).scalar_part
-    comm = commutator(ln, on)
-    _, _, c, d = _halves(comm)
+    C, D = _unit_halves(_require_line(line))
+    C2, D2 = _unit_halves(_require_line(other, "other line"))
+    cc, dd = [(x[0] * y[0] + x[1] * y[1]) + x[2] * y[2] for x, y in ((C, C2), (D, D2))]
+    u, v = -2.0 * (cc + dd), 2.0 * (dd - cc)
+    c, d = 2.0 * math.hypot(*_cross(C, C2)), 2.0 * math.hypot(*_cross(D, D2))   # of L x Phi
     if abs(v) <= epsilon():
         relation = LineRelation.INTERSECTING
-    elif coeff_norm(comm) <= epsilon() or _clifford(c, d):
+    elif math.sqrt(2.0) * math.hypot(c, d) <= epsilon() or _clifford(c, d):
         relation = LineRelation.CLIFFORD_PARALLEL
     else:
         relation = LineRelation.GENERIC
@@ -411,12 +431,13 @@ def reject_by_line(b: MultivectorLike, line: MultivectorLike) -> Multivector:
 
 
 def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
-    """(Phi, L, (Phi x L)_kind, the other axis) of two checked lines, by axis_split."""
+    """(Phi, L, (Phi x L)_kind, the other axis) of two checked lines, by axis_split;
+    Phi x L is built from the halves, as in line_line_metrics."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
-    pn = _require_line(phi, "phi")
-    ln = _require_line(line)
-    comm = commutator(pn, ln)
+    pn, ln = _require_line(phi, "phi"), _require_line(line)
+    (C, D, _, _), (C2, D2, _, _) = _halves(pn), _halves(ln)
+    comm = _from_halves([-2.0 * x for x in _cross(C, C2)], [-2.0 * x for x in _cross(D, D2)])
     if math.hypot(*comm._c) / math.hypot(*pn._c) / math.hypot(*ln._c) <= epsilon():
         zero = Multivector.zero(_S)
         return pn, ln, zero, zero

@@ -327,9 +327,7 @@ def serialize_value(value):
     mv = value if isinstance(value, Multivector) else getattr(value, "mv", None)
     if isinstance(mv, Multivector):        # blade views and spinors carry .mv
         return _coeff_object(mv)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int,)):
+    if isinstance(value, int):              # bool included
         return value
     if isinstance(value, enum.Enum):
         return value.value

@@ -279,6 +279,23 @@ def test_cli_eval_exit_2_on_math_error(tmp_path):
     assert "inv" in result.stderr
 
 
+@pytest.mark.parametrize("space, coeffs, angle", [
+    ("el3", {"e10": 1.5e308, "e23": 1.2e308, "e12": 1e308}, "2|C|"),
+    ("el2", {"e12": 1.5e308, "e20": 1.5e308}, "|b|"),
+])
+def test_cli_exponential_whose_angle_overflows_names_the_angle(tmp_path, space, coeffs, angle):
+    # the angle is inf, which math.cos refused as "math domain error"
+    scene = tmp_path / "overflow.json"
+    scene.write_text(json.dumps({
+        "space": space, "entities": {"B": {"coeffs": coeffs}},
+        "queries": [{"name": "x", "op": "exp_bivector", "args": ["B"]}],
+    }))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 2
+    assert f"query 'x': exp_bivector: the rotation angle {angle} overflows" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_distance_of_a_point_whose_squares_overflow(tmp_path):
     scene = tmp_path / "huge.json"
     scene.write_text(json.dumps(scene_dict(
@@ -665,7 +682,7 @@ FIGURE_DIGESTS = {
         ("42cb317a9d62a1f67747af13b1c0dea3560720eb5980df93abeec8f2c0e49347",
          "8c0680c16583688f95a7a6047faf57cc4647092cb64da29c5b9acd6fe093e48b"),
     ("paper_el3", "clifford-parallels"):
-        ("444fdadacf5a69f29fa5bc138e14a437dd1771be76b858bfa0d743cbf83a5665",
+        ("3d240e3029870cab6a2cbf326108ba1917d22a3647b498266f148caf04db898b",
          "b410dfb1e36b2f3fc3d88420dbde676a4fb0b0b7f94e72b61d017e4d6698c32c"),
     ("paper_el3", "rotation-flow"):
         ("4b15f4cbf3b021dad5170c7edfc07902e8862cdd103c86577b1eaf3b54e09d81",

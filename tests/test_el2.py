@@ -375,3 +375,12 @@ def test_point_view_accessors():
         el2.PointEl2(ln(1, 0, 0))
     with pytest.raises(ValueError):
         el2.LineEl2(pt(1, 0, 0))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600])
+def test_chart_xy_of_a_scaled_point(k):
+    # only w == 0 has no chart coordinates, at any power-of-two weight
+    p = el2.PointEl2(el2.PointEl2.from_xy(0.5, -0.25).mv * 2.0 ** k)
+    assert p.chart_xy() == (0.5, -0.25)
+    with pytest.raises(ZeroDivisionError):
+        el2.PointEl2(pt(0.0, 2.0 ** k, 0.0)).chart_xy()

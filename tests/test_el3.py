@@ -411,6 +411,22 @@ def test_clifford_bivector_classification():
         el3.CliffordBivector(Multivector.basis(S, "e23"), el3.Family.POSITIVE)
 
 
+def test_clifford_bivector_from_bivector_decides_the_family_once(monkeypatch):
+    calls = []
+    families = el3._families
+
+    def counted(v):
+        calls.append(v)
+        return families(v)
+
+    monkeypatch.setattr(el3, "_families", counted)
+    exact = Multivector.from_terms(S, {"e10": 1, "e23": 1})
+    xi = el3.CliffordBivector.from_bivector(exact)
+    assert (xi.value, xi.sign, len(calls)) == (exact, el3.Family.POSITIVE, 1)
+    assert xi == el3.CliffordBivector(exact, el3.Family.POSITIVE)       # checked again
+    assert len(calls) == 2
+
+
 def test_clifford_bivector_constructor_uses_the_from_bivector_tolerance():
     e23 = Multivector.basis(S, "e23")
     exact = dual_I(e23) + e23                       # (I+1)e23
