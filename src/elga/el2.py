@@ -20,7 +20,6 @@ from .algebra import (
     AlgebraError,
     Multivector,
     MultivectorLike,
-    Record,
     Space,
     as_multivector,
     coeff_norm,
@@ -90,73 +89,48 @@ def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector
     return result
 
 
-class TriangleEl2(Record):
-    """Three pairwise distinct vertices with their joined side lines."""
+def _excess(p: Multivector, q: Multivector, r: Multivector) -> float:
+    """Angular excess of the triangle on unit vertices P, Q, R, in closed form.
 
-    __slots__ = ("p", "q", "r", "side_pq", "side_pr", "side_rq")
-
-    def __init__(self, p: MultivectorLike, q: MultivectorLike, r: MultivectorLike):
-        p, q, r = (normalized(as_multivector(v)) for v in (p, q, r))
-        sides = (regressive(p, q), regressive(p, r), regressive(r, q))
-        if any(coeff_norm(side) <= epsilon() for side in sides):
-            raise ValueError("triangle vertices coincide (up to sign)")
-        self._fill(p, q, r, *sides)
-
-
-def _cos_side(u: Multivector, v: Multivector) -> float:
-    # points square to -1, so the cosine of the arc is the negated inner
-    return -inner(u, v).scalar_part
-
-
-def _oriented_vertices(t: TriangleEl2):
-    """Representatives with pairwise non-negative side cosines.
-
-    Each elliptic point has two antipodal representatives; this picks the
-    triple whose pairwise arcs are the short elliptic segments, which is
-    the triangle the side segments actually bound.
-    """
-    p, q, r = t.p, t.q, t.r
-    if _cos_side(p, q) < 0:
-        q = -q
-    if _cos_side(p, r) < 0:
-        r = -r
-    if _cos_side(q, r) < -epsilon():
-        raise AlgebraError("side segments do not bound a triangle")
-    return p, q, r
-
-
-def triangle_area(t: TriangleEl2) -> float:
-    """Area as the angular excess E of the triangle, in closed form.
-
-    On the vertices of _oriented_vertices, whose side cosines are
-    cos a = -Q.R, cos b = -P.R and cos c = -P.Q, the excess is the solid
-    angle of Van Oosterom & Strackee (IEEE TBME 1983):
+    Points square to -1, so the side cosines are cos c = -P.Q, cos b = -P.R
+    and cos a = -Q.R.  Each elliptic point has two antipodal representatives;
+    the triangle is the one whose sides are the short segments, so Q and R
+    are taken with cos c and cos b non-negative.  Turning Q or R to its
+    antipode negates the cosines it takes part in, so cos a changes sign when
+    exactly one of them turns.  The excess is then the solid angle of
+    Van Oosterom & Strackee (IEEE TBME 1983):
     E = 2 atan2(|PvQvR|, 1 + cos a + cos b + cos c).  No interior angle is
-    formed, so thin triangles keep their digits.  Agrees with the
-    right-angle sine formula whenever that applies, and caps at pi/2.
+    formed, so thin triangles keep their digits; E caps at pi/2.  As
+    |PvQvR| <= |PvQ| for a unit R, the collinearity test also refuses
+    coincident vertices.
     """
-    p, q, r = _oriented_vertices(t)
+    cos_c, cos_b, cos_a = (-inner(u, v).scalar_part for u, v in ((p, q), (p, r), (q, r)))
+    if (cos_c < 0) != (cos_b < 0):
+        cos_a = -cos_a
+    if cos_a < -epsilon():
+        raise AlgebraError("side segments do not bound a triangle")
     triple = abs(regressive(regressive(p, q), r).scalar_part)
     if triple <= epsilon():
-        raise ValueError("collinear vertices: degenerate triangle")
-    return 2.0 * math.atan2(triple, 1.0 + _cos_side(q, r) + _cos_side(p, r) + _cos_side(p, q))
+        raise ValueError("degenerate triangle: collinear or coincident vertices")
+    return 2.0 * math.atan2(triple, 1.0 + cos_a + abs(cos_b) + abs(cos_c))
+
+
+def triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
+    """Area of the triangle P, Q, R (normalised internally): its excess, _excess."""
+    return _excess(*(normalized(as_multivector(v)) for v in (p, q, r)))
 
 
 def right_triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
-    """Area from sin S = |PvQvR| / (1 + |Q.R|), right angle at P.
+    """Area of a triangle with its right angle at P: the same excess.
 
-    Requires (PvQ).(PvR) = 0; inputs are normalised internally.
+    Requires (PvQ).(PvR) = 0 on the normalised vertices, within 1e-6 of
+    |PvQ||PvR|; equals triangle_area(p, q, r) bit for bit when it holds.
     """
-    p = normalized(as_multivector(p))
-    q = normalized(as_multivector(q))
-    r = normalized(as_multivector(r))
+    p, q, r = (normalized(as_multivector(v)) for v in (p, q, r))
     pq, pr = regressive(p, q), regressive(p, r)
-    perp = inner(pq, pr).scalar_part
-    if abs(perp) > 1e-6 * coeff_norm(pq) * coeff_norm(pr):
+    if abs(inner(pq, pr).scalar_part) > 1e-6 * coeff_norm(pq) * coeff_norm(pr):
         raise ValueError("the angle at the first vertex is not right")
-    triple = abs(regressive(regressive(p, q), r).scalar_part)
-    s = triple / (1.0 + abs(inner(q, r).scalar_part))
-    return math.asin(min(s, 1.0))
+    return _excess(p, q, r)
 
 
 project = geometry.project

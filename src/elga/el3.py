@@ -249,7 +249,8 @@ def _origin_line(direction: _Vec3) -> Multivector:
 
 
 def _direction(origin_line: Multivector) -> _Vec3:
-    return tuple([origin_line.coeff(n) for n in ("e23", "e31", "e12")])
+    c = origin_line._c                  # (e23, e31, e12) by slot; e13 = -e31 is stored
+    return c[12], -c[10], c[6]
 
 
 def _perp_origin_line(direction: _Vec3) -> Multivector:
@@ -281,7 +282,7 @@ def clifford_parallel(
     input is normalised first and the parallel rescaled by the original
     weight.  Parallels of one line can share its frame (CliffordFrame.parallel).
     """
-    mv = _require_line(line)
+    mv = as_multivector(line)                  # clifford_frame checks it
     return clifford_frame(mv).parallel(family, phi, theta) * coeff_norm(mv)
 
 

@@ -37,7 +37,6 @@ from . import algebra, geometry
 from .algebra import (
     AlgebraError,
     Multivector,
-    MultivectorLike,
     Record,
     Space,
     from_coeff_dict,
@@ -233,11 +232,6 @@ _ARG_KINDS = {"MultivectorLike": "mv", "CliffordLike": "xi", "float": "num",
 _CONVERT = {"num": _number, "kind": _projection_kind}
 
 
-def _triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
-    from . import el2
-    return el2.triangle_area(el2.TriangleEl2(p, q, r))
-
-
 # Op names per space: the shared algebra ops, then the space module's own.
 _SHARED_OPS = ("norm", "dual_I", "regressive", "outer", "inner", "geometric_product",
                "commutator", "reverse", "inverse_blade", "canonicalize_sign", "exp_bivector")
@@ -273,8 +267,6 @@ def op_registry(space: Space) -> Dict[str, OpSpec]:
         module = importlib.import_module(f"{__package__}.{space.value}")
         ops = {name: getattr(algebra, name) for name in _SHARED_OPS}
         ops.update((name, getattr(module, name)) for name in _OPS[space])
-        if space is Space.EL2:
-            ops["triangle_area"] = _triangle_area
         if space is Space.EL3:
             _CONVERT.update(family=module.Family, side=module.Side, direction=module.Direction,
                             xi=module.CliffordBivector.from_bivector)

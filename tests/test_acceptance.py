@@ -96,8 +96,8 @@ def test_c04_el2_triangle_excess_vs_right_split():
     tri_plain = (pt(1, -1, 0), pt(1, -2, 1), pt(1, -3 / 4, 3 / 2))
     tri_wrapped = (pt(1, 3, -1), pt(1, -2, 1), pt(1, -3 / 4, 3 / 2))
     worst = max(
-        abs(el2.triangle_area(el2.TriangleEl2(*tri_plain)) - _right_split_area(*tri_plain)),
-        abs(el2.triangle_area(el2.TriangleEl2(*tri_wrapped)) - _right_split_area(*tri_wrapped)),
+        abs(el2.triangle_area(*tri_plain) - _right_split_area(*tri_plain)),
+        abs(el2.triangle_area(*tri_wrapped) - _right_split_area(*tri_wrapped)),
     )
     report(4, "el2 triangle excess equals two-right-triangle split", worst, 1e-10)
 
@@ -343,8 +343,8 @@ def test_c11_max_area_triangles():
         a = rand_line_el2(rng)
         b = normalized(regressive(dual_I(a), rand_point(E2, rng)))
         c = regressive(dual_I(a), dual_I(b))
-        t = el2.TriangleEl2(outer(a, b), outer(a, c), outer(b, c))
-        worst = max(worst, abs(el2.triangle_area(t) - math.pi / 2))
+        area = el2.triangle_area(outer(a, b), outer(a, c), outer(b, c))
+        worst = max(worst, abs(area - math.pi / 2))
     report(11, "max-area construction yields pi/2 over 100 seeds", worst, 1e-10)
 
 

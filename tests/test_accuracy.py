@@ -3,17 +3,20 @@
 Each reference is evaluated on the exact float inputs with mpmath at 256
 bits, from a formula other than the one the op uses where one exists:
 interior angles for the triangle excess, the dot and join of the lines for
-their separations.  The ops are called directly, not through the report.
+their separations, acos or asin of a cosine and Gram determinants for the
+distances and angles.  The ops are called directly, not through the report.
 """
 
+import importlib
 import math
 import random
+import sys
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from elga import el2, el3
+from elga import el1, el2, el3
 from elga.algebra import (
     Multivector,
     Space,
@@ -28,10 +31,12 @@ from elga.algebra import (
     outer,
     regressive,
 )
-from elga.scene import load_scene_file
+from elga.scene import load_scene, load_scene_file
 
 PREC = 256
-SCENES = Path(__file__).resolve().parents[1] / "src" / "elga" / "scenes"
+ROOT = Path(__file__).resolve().parents[1]
+SCENES = ROOT / "src" / "elga" / "scenes"
+BENCH = ROOT / "bench"
 _PLUCKER = ("e10", "e20", "e30", "e23", "e31", "e12")
 
 
@@ -92,7 +97,7 @@ def test_triangle_area_keeps_its_digits_on_thin_triangles():
     # rounding of the side cosines, about 1e-16, however small the area
     worst = 0.0
     for points in _thin_triangles(300):
-        got = el2.triangle_area(el2.TriangleEl2(*(_point_el2(*p) for p in points)))
+        got = el2.triangle_area(*(_point_el2(*p) for p in points))
         worst = max(worst, abs(got - _excess(points)))
     assert worst <= 1e-15
 
@@ -102,9 +107,61 @@ def test_triangle_areas_of_the_bundled_scene_are_within_two_ulps():
     for query in scene.queries:
         if query.op == "triangle_area":
             pts = [scene.entities[name] for name in query.args]
-            got = el2.triangle_area(el2.TriangleEl2(*pts))
+            got = el2.triangle_area(*pts)
             want = _excess([(p.coeff("e12"), p.coeff("e20"), p.coeff("e01")) for p in pts])
             assert abs(got - want) <= 2 * math.ulp(want), query.name
+
+
+def _right_triangle(b, c):
+    """P = e12, Q = cos b e12 + sin b e20, R = cos c e12 + sin c e01: the right
+    angle at P, with legs b and c."""
+    return (1.0, 0.0, 0.0), (math.cos(b), math.sin(b), 0.0), (math.cos(c), 0.0, math.sin(c))
+
+
+_LEGS = (1e-6, 1e-3, 0.3, 1.0) + tuple(math.pi / 2 - 10.0 ** -k for k in range(1, 9))
+
+
+def test_right_triangle_area_keeps_its_digits_up_to_a_quarter_of_the_plane():
+    # as both legs near pi/2 the area nears pi/2, where the sine form
+    # asin(|PvQvR| / (1 + |Q.R|)) lost digits (2.4e-9 relative)
+    worst = 0.0
+    for b in _LEGS:
+        for c in _LEGS:
+            if math.sin(b) * math.sin(c) < 1e-8:    # thinner is refused as collinear
+                continue
+            points = _right_triangle(b, c)
+            want = _excess(points)
+            got = el2.right_triangle_area(*(_point_el2(*p) for p in points))
+            worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """The bench's scene generator, bench/gen.py."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_right_triangle_area_is_triangle_area_on_the_bench_scenes(bench_gen):
+    count = 0
+    for seed in range(1, 9):
+        for data in bench_gen.eval_batch(seed):
+            if data["space"] != "el2":
+                continue
+            scene = load_scene(data)
+            for query in scene.queries:
+                if query.op == "right_triangle_area":
+                    pts = [scene.entities[name] for name in query.args]
+                    got = el2.right_triangle_area(*pts)
+                    assert got == el2.triangle_area(*pts), query.name
+                    want = _excess([(p.coeff("e12"), p.coeff("e20"), p.coeff("e01")) for p in pts])
+                    assert abs(got - want) <= 1e-15 * want, query.name
+                    count += 1
+    assert count == 8 * 18
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +288,153 @@ def test_clifford_parallel_matches_the_sandwich_construction(family):
         got = frame.parallel(family, phi, theta)
         worst = max(worst, *map(abs, (got - _sandwich_parallel(frame, family, phi, theta))._c))
     assert worst <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# distances and angles
+#
+# Each op's absolute error is pinned at 1e-15.  Its relative error is pinned
+# at 1e-13 only where the answer is at least 1e-2: the atan2 forms keep an
+# absolute error of a few 1e-16 however close the elements, so the relative
+# error grows like 1e-16/d as the separation d shrinks (about 1e-8 for points
+# 1e-8 apart), which is the rounding of the inputs' own coordinates, not of
+# the formula.
+
+_POINT = {Space.EL1: ("e0", "e1"), Space.EL2: ("e12", "e20", "e01"),
+          Space.EL3: ("e123", "e320", "e130", "e210")}
+_VECTOR = {Space.EL2: ("e0", "e1", "e2"), Space.EL3: ("e0", "e1", "e2", "e3")}
+
+
+def _mv(space, names, coords):
+    return Multivector.from_terms(space, dict(zip(names, coords)))
+
+
+def _gauss(rnd, n):
+    return [rnd.gauss(0.0, 1.0) for _ in range(n)]
+
+
+def _nudged(rnd, u):
+    return [x + 1e-8 * rnd.gauss(0.0, 1.0) for x in u]
+
+
+def _off(u, ws):
+    """u less its parts along the pairwise orthogonal vectors ws, in floats."""
+    for w in ws:
+        t = sum(x * y for x, y in zip(u, w)) / sum(x * x for x in w)
+        u = [x - t * y for x, y in zip(u, w)]
+    return u
+
+
+def _reference(f):
+    """f() evaluated at 256 bits, as a float."""
+    with mpmath.workprec(PREC):
+        return float(f())
+
+
+def _cos(u, v):
+    with mpmath.workprec(PREC):
+        u, v = [mpmath.mpf(x) for x in u], [mpmath.mpf(x) for x in v]
+        return _dot(u, v) / mpmath.sqrt(_dot(u, u) * _dot(v, v))
+
+
+def _gram(*vs):
+    return mpmath.det(mpmath.matrix([[_dot(u, v) for v in vs] for u in vs]))
+
+
+def _off_span(p, us):
+    """sin of the angle between the vector p and the span of the vectors us, by
+    Gram determinants: sin**2 = G(us, p) / (G(us) |p|**2)."""
+    with mpmath.workprec(PREC):
+        p, us = [mpmath.mpf(x) for x in p], [[mpmath.mpf(x) for x in u] for u in us]
+        return mpmath.sqrt(_gram(*us, p) / (_gram(*us) * _dot(p, p)))
+
+
+def _in_span(n, us):
+    """sin of the angle between the hyperplane normal to n and the span of us:
+    |n's projection onto the span| / |n|."""
+    with mpmath.workprec(PREC):
+        return mpmath.sqrt(1 - _off_span(n, us) ** 2)
+
+
+def _dyadic(rnd, n):
+    return [rnd.randint(-64, 64) / 64 for _ in range(n)]
+
+
+def _exact_line(rnd):
+    """Two points with 7-bit coordinates and their join, whose Plucker
+    coordinates are exact: the line is the span of the two points."""
+    while True:
+        u, v = _dyadic(rnd, 4), _dyadic(rnd, 4)
+        ln = regressive(_mv(Space.EL3, _POINT[Space.EL3], u), _mv(Space.EL3, _POINT[Space.EL3], v))
+        if any(ln._c):
+            return ln, (u, v)
+
+
+def _point_point(space, op):
+    def case(rnd, near):
+        u = _gauss(rnd, len(_POINT[space]))
+        v = _nudged(rnd, u) if near else _gauss(rnd, len(u))
+        got = op(_mv(space, _POINT[space], u), _mv(space, _POINT[space], v))
+        return got, _reference(lambda: mpmath.acos(abs(_cos(u, v))))
+    return case
+
+
+def _vector_point(space, op):
+    def case(rnd, near):
+        n = _gauss(rnd, len(_VECTOR[space]))
+        p = _nudged(rnd, _off(_gauss(rnd, len(n)), [n])) if near else _gauss(rnd, len(n))
+        got = op(_mv(space, _VECTOR[space], n), _mv(space, _POINT[space], p))
+        return got, _reference(lambda: mpmath.asin(abs(_cos(n, p))))
+    return case
+
+
+def _vector_vector(space, op):
+    def case(rnd, near):
+        u = _gauss(rnd, len(_VECTOR[space]))
+        v = _nudged(rnd, [rnd.choice((-1.0, 1.0)) * x for x in u]) if near else _gauss(rnd, len(u))
+        got = op(_mv(space, _VECTOR[space], u), _mv(space, _VECTOR[space], v))
+        return got, _reference(lambda: mpmath.acos(_cos(u, v)))
+    return case
+
+
+def _line_point(rnd, near):
+    ln, (u, v) = _exact_line(rnd)
+    t = rnd.gauss(0.0, 1.0)
+    p = _nudged(rnd, [x + t * y for x, y in zip(u, v)]) if near else _gauss(rnd, 4)
+    got = el3.distance_line_point(ln, _mv(Space.EL3, _POINT[Space.EL3], p))
+    return got, _reference(lambda: mpmath.asin(_off_span(p, (u, v))))
+
+
+def _line_plane(rnd, near):
+    ln, (u, v) = _exact_line(rnd)
+    n = _nudged(rnd, _off(_gauss(rnd, 4), [u, _off(v, [u])])) if near else _gauss(rnd, 4)
+    got = el3.angle_line_plane(ln, _mv(Space.EL3, _VECTOR[Space.EL3], n))
+    return got, _reference(lambda: mpmath.asin(_in_span(n, (u, v))))
+
+
+AUDIT = {
+    "el1.distance": _point_point(Space.EL1, el1.distance),
+    "el2.distance_pp": _point_point(Space.EL2, el2.distance_pp),
+    "el3.distance_pp": _point_point(Space.EL3, el3.distance_pp),
+    "el2.distance_lp": _vector_point(Space.EL2, el2.distance_lp),
+    "el3.distance_plane_point": _vector_point(Space.EL3, el3.distance_plane_point),
+    "el3.distance_line_point": _line_point,
+    "el2.angle_ll": _vector_vector(Space.EL2, el2.angle_ll),
+    "el3.angle_planes": _vector_vector(Space.EL3, el3.angle_planes),
+    "el3.angle_line_plane": _line_plane,
+}
+
+
+@pytest.mark.parametrize("op", AUDIT)
+def test_distances_and_angles_match_their_256_bit_references(op):
+    # 200 generic draws and 100 near ones: points 1e-8 apart, a point 1e-8
+    # off a line or plane, lines or planes 1e-8 from parallel or antiparallel,
+    # a line 1e-8 from lying in a plane
+    rnd = random.Random(op)
+    worst_abs = worst_rel = 0.0
+    for i in range(300):
+        got, want = AUDIT[op](rnd, i >= 200)
+        worst_abs = max(worst_abs, abs(got - want))
+        if want >= 1e-2:
+            worst_rel = max(worst_rel, abs(got - want) / want)
+    assert worst_abs <= 1e-15 and worst_rel <= 1e-13

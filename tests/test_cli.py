@@ -296,6 +296,18 @@ def test_cli_exponential_whose_angle_overflows_names_the_angle(tmp_path, space, 
     assert "Traceback" not in result.stderr
 
 
+def test_cli_right_triangle_with_coincident_vertices_names_the_query(tmp_path):
+    # P v P = 0 passes the right-angle check, and the area was 0.0 with exit 0
+    scene = tmp_path / "coincident.json"
+    scene.write_text(json.dumps(scene_dict(queries=[
+        {"name": "s", "op": "right_triangle_area", "args": ["P", "P", "Q"]},
+    ])))
+    result = run_cli("eval", str(scene))
+    assert result.returncode == 2
+    assert "query 's': degenerate triangle: collinear or coincident vertices" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_distance_of_a_point_whose_squares_overflow(tmp_path):
     scene = tmp_path / "huge.json"
     scene.write_text(json.dumps(scene_dict(
@@ -1204,10 +1216,6 @@ _S3 = Space.EL3
 _LINE = Multivector.from_terms(_S3, {"e10": 1, "e20": 1, "e23": 1, "e31": -1})
 
 
-def _el2_point(x, y):
-    return Multivector.from_terms(Space.EL2, {"e12": 1, "e20": x, "e01": y})
-
-
 def _xi():
     return el3.clifford_bivector(_LINE, "positive")
 
@@ -1220,9 +1228,6 @@ RECORDS = {
                   lambda: el2.LineEl2(Multivector.zero(Space.EL2))),
     el2.PointEl2: (lambda: el2.PointEl2.from_xy(0.5, 2), "mv", False,
                    lambda: el2.PointEl2(Multivector.basis(Space.EL2, "e1"))),
-    el2.TriangleEl2: (lambda: el2.TriangleEl2(_el2_point(0, 0), _el2_point(1, 0), _el2_point(0, 1)),
-                      "side_pq", False,
-                      lambda: el2.TriangleEl2(_el2_point(0, 0), _el2_point(0, 0), _el2_point(0, 1))),
     el3.PlaneEl3: (lambda: el3.PlaneEl3.from_coeffs(1, 2, 3, 4), "mv", False,
                    lambda: el3.PlaneEl3(Multivector.basis(_S3, "e123"))),
     el3.LineEl3: (lambda: el3.LineEl3(_LINE), "mv", False,

@@ -154,19 +154,18 @@ def right_split_area(p, q, r):
 
 
 def test_triangle_max_area():
-    t = el2.TriangleEl2(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
-    assert abs(el2.triangle_area(t) - math.pi / 2) < 1e-12
+    assert abs(el2.triangle_area(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)) - math.pi / 2) < 1e-12
     assert abs(el2.right_triangle_area(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
                - math.pi / 2) < 1e-15
 
 
 def test_triangle_plain_excess_vs_split():
-    area = el2.triangle_area(el2.TriangleEl2(*TRI_PLAIN))
+    area = el2.triangle_area(*TRI_PLAIN)
     assert abs(area - right_split_area(*TRI_PLAIN)) < 1e-10
 
 
 def test_triangle_wrapped_excess_vs_split():
-    area = el2.triangle_area(el2.TriangleEl2(*TRI_WRAPPED))
+    area = el2.triangle_area(*TRI_WRAPPED)
     assert abs(area - right_split_area(*TRI_WRAPPED)) < 1e-10
 
 
@@ -179,20 +178,28 @@ def test_triangle_plain_matches_oriented_side_recipe():
     alpha = math.acos(inner(side_r, side_q).scalar_part)
     beta = math.acos(inner(side_r, side_p).scalar_part)
     gamma = math.acos(inner(side_q, side_p).scalar_part)
-    assert abs(el2.triangle_area(el2.TriangleEl2(*TRI_PLAIN))
+    assert abs(el2.triangle_area(*TRI_PLAIN)
                - (alpha + beta - gamma)) < 1e-12
 
 
 def test_triangle_degenerate():
     with pytest.raises((ValueError, AlgebraError)):
-        el2.triangle_area(el2.TriangleEl2(pt(1, 0, 0), pt(1, 1, 0), pt(1, 2, 0)))
+        el2.triangle_area(pt(1, 0, 0), pt(1, 1, 0), pt(1, 2, 0))
     with pytest.raises(ValueError):
-        el2.TriangleEl2(pt(1, 0, 0), pt(-1, 0, 0), pt(1, 1, 0))
+        el2.triangle_area(pt(1, 0, 0), pt(-1, 0, 0), pt(1, 1, 0))
 
 
 def test_right_triangle_area_requires_right_angle():
     with pytest.raises(ValueError):
         el2.right_triangle_area(*TRI_PLAIN)
+
+
+def test_right_triangle_area_refuses_coincident_vertices():
+    # (PvP).(PvR) = 0 passes the right-angle check; the excess then refuses
+    p, r = pt(1, 0.2, 0.3), pt(1, 0.2, 0.9)
+    for args in ((p, p, r), (p, r, p), (p, -p, r)):
+        with pytest.raises(ValueError, match="coincident"):
+            el2.right_triangle_area(*args)
 
 
 def test_random_triangles_excess_vs_split(rng):
@@ -202,7 +209,7 @@ def test_random_triangles_excess_vs_split(rng):
         q = el2.PointEl2.from_xy(*rng.uniform(-1.5, 1.5, size=2)).mv
         r = el2.PointEl2.from_xy(*rng.uniform(-1.5, 1.5, size=2)).mv
         try:
-            area = el2.triangle_area(el2.TriangleEl2(p, q, r))
+            area = el2.triangle_area(p, q, r)
         except (ValueError, AlgebraError):
             continue
         assert abs(area - right_split_area(p, q, r)) < 1e-10
@@ -216,8 +223,7 @@ def test_max_area_construction(rng):
         b = normalized(regressive(dual_I(a), rand_point(S, rng)))
         c = regressive(dual_I(a), dual_I(b))
         va, vb, vc = outer(a, b), outer(a, c), outer(b, c)
-        t = el2.TriangleEl2(va, vb, vc)
-        assert abs(el2.triangle_area(t) - math.pi / 2) < 1e-10
+        assert abs(el2.triangle_area(va, vb, vc) - math.pi / 2) < 1e-10
 
 
 def test_no_parallel_lines(rng):
