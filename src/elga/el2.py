@@ -89,8 +89,8 @@ def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector
     return result
 
 
-def _excess(p: Multivector, q: Multivector, r: Multivector) -> float:
-    """Angular excess of the triangle on unit vertices P, Q, R, in closed form.
+def _excess(p: Multivector, q: Multivector, r: Multivector, pq: Multivector) -> float:
+    """Angular excess of the triangle on unit vertices P, Q, R, with pq = PvQ, in closed form.
 
     Points square to -1, so the side cosines are cos c = -P.Q, cos b = -P.R
     and cos a = -Q.R.  Each elliptic point has two antipodal representatives;
@@ -109,7 +109,7 @@ def _excess(p: Multivector, q: Multivector, r: Multivector) -> float:
         cos_a = -cos_a
     if cos_a < -epsilon():
         raise AlgebraError("side segments do not bound a triangle")
-    triple = abs(regressive(regressive(p, q), r).scalar_part)
+    triple = abs(regressive(pq, r).scalar_part)
     if triple <= epsilon():
         raise ValueError("degenerate triangle: collinear or coincident vertices")
     return 2.0 * math.atan2(triple, 1.0 + cos_a + abs(cos_b) + abs(cos_c))
@@ -117,20 +117,22 @@ def _excess(p: Multivector, q: Multivector, r: Multivector) -> float:
 
 def triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
     """Area of the triangle P, Q, R (normalised internally): its excess, _excess."""
-    return _excess(*(normalized(as_multivector(v)) for v in (p, q, r)))
+    p, q, r = (normalized(as_multivector(v)) for v in (p, q, r))
+    return _excess(p, q, r, regressive(p, q))
 
 
 def right_triangle_area(p: MultivectorLike, q: MultivectorLike, r: MultivectorLike) -> float:
     """Area of a triangle with its right angle at P: the same excess.
 
     Requires (PvQ).(PvR) = 0 on the normalised vertices, within 1e-6 of
-    |PvQ||PvR|; equals triangle_area(p, q, r) bit for bit when it holds.
+    |PvQ||PvR|; the excess reuses that PvQ and equals triangle_area(p, q, r)
+    bit for bit.
     """
     p, q, r = (normalized(as_multivector(v)) for v in (p, q, r))
     pq, pr = regressive(p, q), regressive(p, r)
     if abs(inner(pq, pr).scalar_part) > 1e-6 * coeff_norm(pq) * coeff_norm(pr):
         raise ValueError("the angle at the first vertex is not right")
-    return _excess(p, q, r)
+    return _excess(p, q, r, pq)
 
 
 project = geometry.project

@@ -18,10 +18,12 @@ from . import geometry
 from .algebra import (
     epsilon,
     _clifford,
+    _exp_halves,
     _from_halves,
     _halves,
     _new,
     _scaled_down,
+    _spinor,
     AlgebraError,
     Multivector,
     MultivectorLike,
@@ -138,6 +140,18 @@ class PointEl3(geometry.BladeView):
 
 def _require_line(x: MultivectorLike, what: str = "line") -> Multivector:
     return geometry.check_blade(x, _S, "line", what)
+
+
+def _unit_line(x: MultivectorLike, what: str = "line") -> Tuple[list, list]:
+    """The halves C/|L|, D/|L| of the unit line of a checked line L, from the check's
+    one split (geometry._line_halves), with |L| scaled first as in algebra.normalized."""
+    mv, (C, D, _, _) = geometry._line_halves(x, what)
+    n = math.hypot(*mv._c)
+    if not 2.0 ** -480 < n < math.inf:
+        mv, e = _scaled_down(mv)                # largest coefficient in [0.5, 1)
+        n = math.hypot(*mv._c)
+        C, D = [math.ldexp(v, -e) for v in C], [math.ldexp(v, -e) for v in D]
+    return [v / n for v in C], [v / n for v in D]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +279,9 @@ def _perp_origin_line(direction: _Vec3) -> Multivector:
 
 def clifford_frame(line: MultivectorLike) -> CliffordFrame:
     """Frame of origin lines generating the parallel parametrisation."""
-    ln = normalized(_require_line(line))
-    C, D, _, _ = _halves(ln)
+    C, D = _unit_line(line)
     minus, plus = tuple([-2.0 * x for x in D]), tuple([2.0 * x for x in C])
-    return CliffordFrame(ln, _origin_line(minus), _origin_line(plus),
+    return CliffordFrame(_from_halves(C, D), _origin_line(minus), _origin_line(plus),
                          _perp_origin_line(minus), _perp_origin_line(plus))
 
 
@@ -361,15 +374,6 @@ class LineLineMetrics(Record):
         self._fill(r, alpha, r1, r2, relation)
 
 
-def _unit_halves(x: Multivector) -> Tuple[_Vec3, _Vec3]:
-    """The halves C, D of a line over its norm, scaled first as in algebra.normalized."""
-    n = math.hypot(*x._c)
-    if not 2.0 ** -480 < n < math.inf:
-        return _unit_halves(_scaled_down(x)[0])     # largest coefficient in [0.5, 1)
-    C, D, _, _ = _halves(x)
-    return tuple([v / n for v in C]), tuple([v / n for v in D])
-
-
 def line_line_metrics(line: MultivectorLike, other: MultivectorLike) -> LineLineMetrics:
     """Distance, angle and relation of two lines.
 
@@ -383,8 +387,8 @@ def line_line_metrics(line: MultivectorLike, other: MultivectorLike) -> LineLine
     are Clifford parallel when the commutator passes the Clifford test or
     vanishes within tolerance (a line and its polar), and generic otherwise.
     """
-    C, D = _unit_halves(_require_line(line))
-    C2, D2 = _unit_halves(_require_line(other, "other line"))
+    C, D = _unit_line(line)
+    C2, D2 = _unit_line(other, "other line")
     cc, dd = [(x[0] * y[0] + x[1] * y[1]) + x[2] * y[2] for x, y in ((C, C2), (D, D2))]
     u, v = -2.0 * (cc + dd), 2.0 * (dd - cc)
     c, d = 2.0 * math.hypot(*_cross(C, C2)), 2.0 * math.hypot(*_cross(D, D2))   # of L x Phi
@@ -436,8 +440,8 @@ def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
     Phi x L is built from the halves, as in line_line_metrics."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
-    pn, ln = _require_line(phi, "phi"), _require_line(line)
-    (C, D, _, _), (C2, D2, _, _) = _halves(pn), _halves(ln)
+    (pn, (C, D, _, _)), (ln, (C2, D2, _, _)) = (geometry._line_halves(phi, "phi"),
+                                                geometry._line_halves(line, "line"))
     comm = _from_halves([-2.0 * x for x in _cross(C, C2)], [-2.0 * x for x in _cross(D, D2)])
     if math.hypot(*comm._c) / math.hypot(*pn._c) / math.hypot(*ln._c) <= epsilon():
         zero = Multivector.zero(_S)
@@ -500,10 +504,12 @@ def reflect(
 
 
 def double_rotation_spinor(line: MultivectorLike, alpha: float, beta: float) -> Spinor:
-    """exp(-(alpha + beta*I)/2 * L) for a normalised line L."""
-    ln = normalized(_require_line(line))
-    generator = (ln * alpha + dual_I(ln) * beta) * -0.5
-    return exp_bivector(generator)
+    """exp(-(alpha + beta*I)/2 * L) for a normalised line L of halves (C, D): LI has the
+    halves (C, -D), so the generator has -(alpha + beta)C/2 and -(alpha - beta)D/2."""
+    C, D = _unit_line(line)
+    s, t = -0.5 * alpha - 0.5 * beta, 0.5 * beta - 0.5 * alpha
+    C, D = [s * x for x in C], [t * x for x in D]
+    return _spinor(_exp_halves(C, D, math.hypot(*C), math.hypot(*D)))
 
 
 def double_rotation(
@@ -596,13 +602,28 @@ line_from_planes = outer           # meet a ^ b
 
 
 def point_on_line(line: MultivectorLike) -> Multivector:
-    """A normalised point incident with the line (projection of a seed)."""
-    ln = _require_line(line)
-    for seed in ("e123", "e320", "e130", "e210"):
-        # (P.L) L**-1 has the unit weight of the seed P, whatever the line's
-        candidate = project_on_line(Multivector.basis(_S, seed), ln)
-        if coeff_norm(candidate) > 1e-6:
-            return normalized(candidate)
+    """A normalised point on the line: the foot (P.L) L**-1 of the first seed P of e123,
+    e320, e130, e210 whose foot is longer than 1e-6 (P has unit weight).
+
+    In quaternions (quaternion_bridge) the line is a plane of R**4 with the
+    antisymmetric matrix W of rows (0, m) and (-m_i, e_i x d), for the moment
+    m = (p23, p31, p12) = C + D and the direction d = (p10, p20, p30) = C - D,
+    and the k-th seed's foot is column k of W W^T / |L|**2.  These dot products
+    of rows keep every digit of a short foot, which the rounded halves would
+    turn by 1e-16 over its length.
+    """
+    ln = _scaled_down(_require_line(line))[0]      # exact: the products stay normal
+    _, _, _, m01, _, m02, p12, _, _, m03, m13, _, p23, _, _, _ = ln._c   # p10 = -m01, ...
+    rows = ((0.0, p23, -m13, p12), (-p23, 0.0, m03, -m02),
+            (m13, -m03, 0.0, m01), (-p12, m02, -m01, 0.0))
+    # the input's rounding (1e-16 of |L|) turns a foot of length r by 1e-16/r, kept below
+    # 1e-10 here; the feet's squared lengths sum to 2, so one is longer than 0.7
+    shortest = 1e-6 * coeff_norm(ln)
+    for k, row in enumerate(rows):
+        q = [(a[0] * row[0] + a[1] * row[1]) + (a[2] * row[2] + a[3] * row[3]) for a in rows]
+        if math.sqrt(q[k]) > shortest:
+            n = math.hypot(*q)
+            return point_from_quaternion([x / n for x in q])
     raise AlgebraError("could not find a point on the line")
 
 
@@ -611,8 +632,7 @@ def sweep_line_point(line: MultivectorLike, p: MultivectorLike, t: float) -> Mul
 
     Sliding along a line is rotation around its polar line: points on the
     line are fixed by rotations around the line itself but swept along it
-    by exp(-t/2 * LI).  Period pi (with an orientation flip).
+    by exp(-t/2 * LI): the double rotation with alpha = 0 and beta = t.
+    Period pi (with an orientation flip).
     """
-    ln = normalized(_require_line(line))
-    s = exp_bivector(dual_I(ln) * (-0.5 * t))
-    return s.apply(as_multivector(p))
+    return double_rotation(p, line, 0.0, t)

@@ -49,17 +49,23 @@ def check_blade(x: MultivectorLike, space: Space, role: str, what: str) -> Multi
     pure_grade) for a mixed-grade or all-zero element; NonSimpleBivector
     for an El3 line off the Plucker quadric.
     """
+    if role == "line" and space is Space.EL3:
+        return _line_halves(x, what)[0]
     mv = as_multivector(x)
     grade = ROLE_GRADES[space][role]
     if mv.space is not space or mv.pure_grade() != grade:
         raise ValueError(f"{what} must be a grade-{grade} {space.value} element")
-    if role == "line" and space is Space.EL3:
-        _, _, c, d = _halves(mv)
-        if not _simple(c, d):
-            raise NonSimpleBivector(       # the residual over |mv|**2
-                f"{what}: plücker residual {_plucker(c, d):.3e} exceeds tolerance {epsilon():.1g}"
-            )
     return mv
+
+
+def _line_halves(x: MultivectorLike, what: str) -> tuple:
+    """check_blade of an El3 line, and the halves (C, D, c, d) its Plucker test reads."""
+    mv = check_blade(x, Space.EL3, "bivector", what)
+    _, _, c, d = halves = _halves(mv)
+    if not _simple(c, d):                   # the residual over |mv|**2
+        raise NonSimpleBivector(f"{what}: plücker residual {_plucker(c, d):.3e} "
+                                f"exceeds tolerance {epsilon():.1g}")
+    return mv, halves
 
 
 class BladeView(Record):

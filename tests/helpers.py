@@ -10,6 +10,8 @@ from elga.algebra import (
     exp_bivector,
     geometric_product,
     grade,
+    inner,
+    inverse_blade,
     normalized,
     regressive,
 )
@@ -45,6 +47,16 @@ def rand_line_el3(rng):
         join = regressive(p, q)
         if coeff_norm(join) > 1e-3:
             return normalized(join)
+
+
+def seed_projection_on_line(line):
+    """el3.point_on_line by Multivector products: the projection (P.L) L**-1
+    of the first seed P of e123, e320, e130, e210 longer than 1e-6, normalised."""
+    for seed in ("e123", "e320", "e130", "e210"):
+        foot = geometric_product(inner(Multivector.basis(Space.EL3, seed), line),
+                                 inverse_blade(line))
+        if coeff_norm(foot) > 1e-6:
+            return normalized(foot)
 
 
 def rand_bivector_el3(rng, max_norm=2.0):

@@ -2,9 +2,12 @@
 
 Each reference is evaluated on the exact float inputs with mpmath at 256
 bits, from a formula other than the one the op uses where one exists:
-interior angles for the triangle excess, the dot and join of the lines for
-their separations, acos or asin of a cosine and Gram determinants for the
-distances and angles.  The ops are called directly, not through the report.
+interior angles for the triangle excess and its two-right-triangle split,
+the dot and join of the lines for their separations, acos or asin of a
+cosine and Gram determinants for the distances and angles, the product of
+two simple rotations and the sandwich for the El3 line motions, and
+Gram-Schmidt for the point on a line.  The ops are called directly, not
+through the report.
 """
 
 import importlib
@@ -18,6 +21,7 @@ import pytest
 
 from elga import el1, el2, el3
 from elga.algebra import (
+    AlgebraError,
     Multivector,
     Space,
     axis_split,
@@ -28,10 +32,12 @@ from elga.algebra import (
     geometric_product,
     inner,
     inverse_blade,
+    normalized,
     outer,
     regressive,
 )
 from elga.scene import load_scene, load_scene_file
+from helpers import bits_of, blade_product_bruteforce
 
 PREC = 256
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,6 +139,37 @@ def test_right_triangle_area_keeps_its_digits_up_to_a_quarter_of_the_plane():
             want = _excess(points)
             got = el2.right_triangle_area(*(_point_el2(*p) for p in points))
             worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-15
+
+
+def _split_excess(points):
+    """The excess of the triangle P, Q, R as the sum (or difference) of its two
+    right triangles at the foot F of the perpendicular from R onto PQ, each by
+    _excess (interior angles), with F found at 256 bits."""
+    with mpmath.workprec(PREC):
+        p, q, r = (_unit([mpmath.mpf(x) for x in v]) for v in points)
+        n = _unit(_cross(p, q))
+        f = _unit([x - _dot(r, n) * y for x, y in zip(r, n)])
+        gap = [mpmath.acos(abs(_dot(u, v))) for u, v in ((p, f), (f, q), (p, q))]
+        e1, e2 = _excess((f, p, r)), _excess((f, q, r))
+        return e1 + e2 if abs(gap[0] + gap[1] - gap[2]) < 1e-30 else abs(e1 - e2)
+
+
+def test_triangle_area_matches_its_two_right_triangles_at_256_bits():
+    # the two-right-triangle split of acceptance criterion C04, with the split
+    # and both right triangles' excesses (interior angles) at 256 bits: a second
+    # formula beside _excess, which the split in C04 calls three times
+    rnd = random.Random(55)
+    triangles = [((1, -1, 0), (1, -2, 1), (1, -0.75, 1.5)), ((1, 3, -1), (1, -2, 1), (1, -0.75, 1.5))]
+    triangles += [tuple((1.0, rnd.uniform(-1.5, 1.5), rnd.uniform(-1.5, 1.5)) for _ in range(3))
+                  for _ in range(200)]
+    worst = 0.0
+    for points in triangles:
+        try:
+            got = el2.triangle_area(*(_point_el2(*v) for v in points))
+        except (ValueError, AlgebraError):      # collinear, or sides that bound no triangle
+            continue
+        worst = max(worst, abs(got - _split_excess(points)))
     assert worst <= 1e-15
 
 
@@ -438,3 +475,100 @@ def test_distances_and_angles_match_their_256_bit_references(op):
         if want >= 1e-2:
             worst_rel = max(worst_rel, abs(got - want) / want)
     assert worst_abs <= 1e-15 and worst_rel <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# El3 line motions and the point on a line
+#
+# The references multiply in Cl(4) at 256 bits with the signs of
+# blade_product_bruteforce, on exact lines (joins of 7-bit points, whose
+# Plucker coordinates are exact) normalised at 256 bits.
+
+
+_EL3_SIGNS = [(a, b) + blade_product_bruteforce(bits_of(a), bits_of(b)) for a in range(16)
+              for b in range(16)]
+
+
+def _mp_product(x, y):
+    out = [mpmath.mpf(0)] * 16
+    for a, b, sign, bits in _EL3_SIGNS:
+        if x[a] and y[b]:
+            out[sum(1 << i for i in bits)] += sign * x[a] * y[b]
+    return out
+
+
+def _mp_unit(mv):
+    c = [mpmath.mpf(x) for x in mv._c]
+    n = mpmath.sqrt(mpmath.fsum(x * x for x in c))
+    return [x / n for x in c]
+
+
+def _rotor(unit_line, angle):
+    """exp(-angle/2 L) = cos(angle/2) - sin(angle/2) L for a unit line L (L**2 = -1)."""
+    out = [-mpmath.sin(mpmath.mpf(angle) / 2) * x for x in unit_line]
+    out[0] = mpmath.cos(mpmath.mpf(angle) / 2)
+    return out
+
+
+def _worst(got, want):
+    return max(float(abs(mpmath.mpf(g) - w)) for g, w in zip(got._c, want))
+
+
+def test_double_rotation_spinor_matches_the_product_of_its_two_rotations():
+    # exp(-(alpha + beta I)/2 L) = exp(-alpha/2 L) exp(-beta/2 LI), L and LI commute
+    rnd = random.Random(31)
+    worst = 0.0
+    for _ in range(100):
+        ln, _ = _exact_line(rnd)
+        alpha, beta = rnd.uniform(-4.0, 4.0), rnd.uniform(-4.0, 4.0)
+        with mpmath.workprec(PREC):
+            want = _mp_product(_rotor(_mp_unit(ln), alpha), _rotor(_mp_unit(dual_I(ln)), beta))
+            worst = max(worst, _worst(el3.double_rotation_spinor(ln, alpha, beta).mv, want))
+    assert worst <= 1e-15
+
+
+def test_sweep_line_point_matches_the_sandwich_about_the_polar_line():
+    # S P ~S with S = exp(-t/2 LI), on the line's own point and on unit points off it
+    rnd = random.Random(32)
+    worst = 0.0
+    for i in range(100):
+        ln, _ = _exact_line(rnd)
+        p = el3.point_on_line(ln) if i % 2 else normalized(_mv(Space.EL3, _POINT[Space.EL3],
+                                                                _gauss(rnd, 4)))
+        t = rnd.uniform(-4.0, 4.0)
+        with mpmath.workprec(PREC):
+            s = _rotor(_mp_unit(dual_I(ln)), t)
+            reverse = [s[0]] + [-x for x in s[1:]]          # S is a scalar plus a bivector
+            want = _mp_product(_mp_product(s, [mpmath.mpf(x) for x in p._c]), reverse)
+            worst = max(worst, _worst(el3.sweep_line_point(ln, p, t), want))
+    assert worst <= 1e-15
+
+
+def _foot(u, v):
+    """point_on_line at 256 bits: the projection of the first basis point e_k
+    onto the span of u and v (Gram-Schmidt) longer than 1e-6, normalised."""
+    with mpmath.workprec(PREC):
+        a = _unit([mpmath.mpf(x) for x in u])
+        v = [mpmath.mpf(x) for x in v]
+        b = _unit([x - _dot(v, a) * y for x, y in zip(v, a)])
+        for k in range(4):
+            foot = [a[k] * x + b[k] * y for x, y in zip(a, b)]
+            if mpmath.sqrt(_dot(foot, foot)) > 1e-6:
+                return _unit(foot)
+
+
+def test_point_on_line_matches_the_projection_onto_the_span_of_its_points():
+    # generic lines; lines whose points have 2**-16 of the weight of the others,
+    # so the foot from e123 is short; and lines polar to e123, where e320 serves
+    rnd = random.Random(33)
+    worst = 0.0
+    for i in range(300):
+        u, v = _dyadic(rnd, 4), _dyadic(rnd, 4)
+        if i % 3:
+            u[0], v[0] = (u[0] * 2.0 ** -16, v[0] * 2.0 ** -16) if i % 3 == 1 else (0.0, 0.0)
+        ln = regressive(_mv(Space.EL3, _POINT[Space.EL3], u), _mv(Space.EL3, _POINT[Space.EL3], v))
+        if not any(ln._c):
+            continue
+        got = el3.quaternion_bridge(el3.point_on_line(ln))
+        worst = max(worst, *(abs(g - float(w)) for g, w in zip(got, _foot(u, v))))
+    assert worst <= 1e-15

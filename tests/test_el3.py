@@ -31,10 +31,12 @@ from elga import el3
 from helpers import (
     assert_mv_close,
     assert_mv_close_up_to_sign,
+    mv_diff,
     rand_bivector_el3,
     rand_line_el3,
     rand_plane_el3,
     rand_point,
+    seed_projection_on_line,
 )
 
 S = Space.EL3
@@ -754,6 +756,36 @@ def test_double_rotation_is_the_product_of_its_two_rotations_from_simple_to_clif
     # beta/alpha = 0 is a simple generator, 1 an exactly Clifford one
     for _ in range(20):
         assert _product_of_the_two_rotations_error(rng, ratio) <= 1e-15
+
+
+def test_sweep_line_point_is_the_double_rotation_with_alpha_zero(rng):
+    for _ in range(200):
+        lam, p = rand_line_el3(rng) * float(rng.uniform(0.1, 10.0)), rand_point(S, rng)
+        t = float(rng.uniform(-4.0, 4.0))
+        assert el3.sweep_line_point(lam, p, t) == el3.double_rotation(p, lam, 0.0, t)
+
+
+def test_double_rotation_spinor_is_the_exponential_of_its_generator(rng):
+    for _ in range(200):
+        lam = rand_line_el3(rng) * float(rng.uniform(0.1, 10.0))
+        alpha, beta = (float(x) for x in rng.uniform(-4.0, 4.0, size=2))
+        unit = normalized(lam)
+        want = exp_bivector((unit * alpha + dual_I(unit) * beta) * -0.5)
+        assert mv_diff(el3.double_rotation_spinor(lam, alpha, beta).mv, want.mv) <= 1e-15
+
+
+def test_point_on_line_is_the_seed_projection(rng):
+    # lines with no e23, e31, e12 part are polar to e123, whose foot is zero: the
+    # next seed serves, e320, or e130 when the foot from e320 is zero too
+    polar = [ln(0.5, 1, 2, 0, 0, 0), ln(1, 0, 0, 0, 0, 0)]
+    near = ln(0.5, 1, 2, 2.0 ** -10, -2.0 ** -11, 0)         # a foot from e123 of 5e-4
+    for lam in polar + [near] + [rand_line_el3(rng) * float(rng.uniform(0.1, 10.0))
+                                 for _ in range(200)]:
+        got = el3.point_on_line(lam)
+        assert mv_diff(got, seed_projection_on_line(lam)) <= 1e-15
+        assert got.grades() == (3,)
+    assert [el3.point_on_line(lam).coeff(seed) > 0.0 for lam, seed in
+            ((polar[0], "e320"), (polar[1], "e130"), (near, "e123"))] == [True] * 3
 
 
 def test_clifford_translate_identity_and_closed_form(rng):

@@ -115,9 +115,32 @@ def test_angle_refuses_blades_that_are_not_vectors():
 
 
 def test_el3_line_arguments_share_the_plucker_check():
+    # every El3 line op refuses a bivector off the Plucker quadric with the
+    # check's message, which names the argument
     skew = Multivector.from_terms(S3, {"e10": 1, "e23": 1})
-    for call in (lambda: el3.LineEl3(skew),
-                 lambda: el3.distance_line_point(skew, el3.ORIGIN),
-                 lambda: el3.clifford_frame(skew)):
-        with pytest.raises(NonSimpleBivector, match="plücker residual"):
+    p, a, line = el3.ORIGIN, Multivector.basis(S3, "e1"), Multivector.basis(S3, "e23")
+    for what, call in (
+        ("LineEl3", lambda: el3.LineEl3(skew)),
+        ("line", lambda: el3.distance_line_point(skew, p)),
+        ("line", lambda: el3.angle_line_plane(skew, a)),
+        ("line", lambda: el3.clifford_frame(skew)),
+        ("line", lambda: el3.clifford_parallel(skew, "positive", 0.3, 1.0)),
+        ("line", lambda: el3.clifford_bivector(skew, "negative")),
+        ("line", lambda: el3.line_line_metrics(skew, line)),
+        ("other line", lambda: el3.line_line_metrics(line, skew)),
+        ("line", lambda: el3.project_on_line(p, skew)),
+        ("line", lambda: el3.reject_by_line(a, skew)),
+        ("phi", lambda: el3.project_line_on_line(skew, line, 1)),
+        ("line", lambda: el3.project_line_on_line(line, skew, 1)),
+        ("phi", lambda: el3.reject_line_by_line(skew, line, 2)),
+        ("line", lambda: el3.reject_line_by_line(line, skew, 2)),
+        ("line", lambda: el3.perpendicular_through(skew, p)),
+        ("line", lambda: el3.double_rotation_spinor(skew, 0.7, 0.2)),
+        ("line", lambda: el3.double_rotation(p, skew, 0.7, 0.2)),
+        ("line", lambda: el3.sweep_line_point(skew, p, 0.3)),
+        ("line", lambda: el3.point_on_line(skew)),
+        ("origin line", lambda: el3.clifford_translate_quat(p, skew, 0.5, "right")),
+    ):
+        with pytest.raises(NonSimpleBivector) as refused:
             call()
+        assert str(refused.value) == f"{what}: plücker residual -5.000e-01 exceeds tolerance 1e-09"
