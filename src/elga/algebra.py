@@ -100,9 +100,10 @@ class Record:
 
     __slots__ = ()
 
-    def _fill(self, *values) -> None:
+    def _fill(self, *values) -> "Record":
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -694,18 +695,30 @@ def is_clifford_bivector(a: MultivectorLike) -> bool:
     return a._space is Space.EL3 and a.grades() in ((), (2,)) and _clifford(*_halves(a)[2:])
 
 
+_LOW, _HIGH = 2.0 ** -240, 2.0 ** 240    # a ratio squares products of two: 4 * 240 < 1022
+
+
 def _norm(a: Multivector) -> Tuple[Multivector, float, int]:
-    """(a * 2**-e, its norm, e): e = 0 unless the squares of a overflow or
-    underflow, and then a is scaled by _scaled_down, exactly."""
+    """(a * 2**-e, its norm, e): e = 0 when the norm lies in (_LOW, _HIGH), and
+    otherwise a is scaled by _scaled_down, exactly.  ZeroInput for a zero a."""
+    n = coeff_norm(a)
+    if _LOW < n < _HIGH:
+        return a, n, 0
+    a, e = _scaled_down(a)
+    n = coeff_norm(a)
+    if not n:
+        raise ZeroInput("cannot normalise a zero element")
+    return a, n, e
+
+
+def _scaled(a: MultivectorLike) -> Tuple[Multivector, float, int]:
+    """_norm of an a that has a norm (simple or Clifford in El3): normalized's first step."""
+    a = as_multivector(a)
     if a._space is Space.EL3 and a.grades() == (2,):
         _, _, c, d = _halves(a)
         if not (_simple(c, d) or _clifford(c, d)):
             raise NonSimpleBivector(f"norm undefined: plucker residual {_plucker(c, d):.3e}")
-    n = coeff_norm(a)
-    if 2.0 ** -480 < n < math.inf or not any(a._c):
-        return a, n, 0
-    a, e = _scaled_down(a)
-    return a, coeff_norm(a), e
+    return _norm(a)
 
 
 def norm(a: MultivectorLike) -> float:
@@ -714,22 +727,20 @@ def norm(a: MultivectorLike) -> float:
     Equals the Euclidean coefficient norm on blades.  A grade-2 element of
     El3 must satisfy the Plucker condition or be a Clifford bivector;
     otherwise the notion of a line norm does not apply and
-    NonSimpleBivector is raised.  When the squares overflow or underflow,
-    the norm of a * 2**-e (_scaled_down) is scaled back by 2**e, exactly.
+    NonSimpleBivector is raised.  Outside the band of _norm, the norm of
+    a * 2**-e (_scaled_down) is scaled back by 2**e, exactly.
     """
-    _, n, e = _norm(as_multivector(a))
+    _, n, e = _scaled(a) if any(as_multivector(a)._c) else (a, 0.0, 0)
     return n * math.ldexp(1.0, e - 1) * 2.0 if e else n     # inf, not OverflowError
 
 
 def normalized(a: MultivectorLike) -> Multivector:
     """a / norm(a); raises ZeroInput only when every coefficient is zero.
 
-    When the squares overflow or underflow, a is first scaled by a power
-    of two (_scaled_down), which is exact and leaves the direction alone.
+    Outside the band of _norm, a is first scaled by a power of two, which is
+    exact and leaves the direction alone.
     """
-    a, n, _ = _norm(as_multivector(a))
-    if not n:
-        raise ZeroInput("cannot normalise a zero element")
+    a, n, _ = _scaled(a)
     return a * (1.0 / n)
 
 

@@ -18,7 +18,6 @@ from .algebra import (
     as_multivector,
     exp_bivector,
     geometric_product,
-    normalized,
 )
 
 _E01 = Multivector.basis(Space.EL1, "e01")
@@ -43,9 +42,8 @@ class PointEl1(geometry.BladeView):
     a = geometry.coeff_property("e1")
 
     def angle(self) -> float:
-        """Parameter alpha of the normalised representative, in (-pi, pi]."""
-        n = normalized(self.mv)
-        return math.atan2(-n.coeff("e0"), n.coeff("e1"))
+        """Parameter alpha of the normalised representative, in (-pi, pi]: a ratio, undivided."""
+        return math.atan2(-self.d, self.a)
 
 
 # point-point distance in [0, pi/2], the formula of every space
@@ -65,8 +63,7 @@ def translate(a: MultivectorLike, lam: float) -> PointEl1:
 
     Translating by pi returns the same point with opposite orientation.
     """
-    s = exp_bivector(_E01 * (-0.5 * lam))
-    return PointEl1(s.apply(as_multivector(a)))
+    return PointEl1(exp_bivector(_E01 * (-0.5 * lam)).apply(a))
 
 
 def reflect(a: MultivectorLike, b: MultivectorLike) -> PointEl1:

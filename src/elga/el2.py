@@ -26,7 +26,6 @@ from .algebra import (
     exp_bivector,
     inner,
     normalized,
-    orbit,
     regressive,
 )
 
@@ -72,6 +71,7 @@ class PointEl2(geometry.BladeView):
 # point-point (P, Q) and line-point (a, P) distances, angle between lines
 distance_pp = distance_lp = geometry.distance
 angle_ll = geometry.angle
+_ORIGIN = Multivector.basis(Space.EL2, "e12")      # the pole of the ideal line e0
 
 
 def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector:
@@ -93,7 +93,8 @@ def _excess(p: Multivector, q: Multivector, r: Multivector, pq: Multivector) -> 
     """Angular excess of the triangle on unit vertices P, Q, R, with pq = PvQ, in closed form.
 
     Points square to -1, so the side cosines are cos c = -P.Q, cos b = -P.R
-    and cos a = -Q.R.  Each elliptic point has two antipodal representatives;
+    and cos a = -Q.R, dot products of the grade-2 slots in the inner kernel's
+    order.  Each elliptic point has two antipodal representatives;
     the triangle is the one whose sides are the short segments, so Q and R
     are taken with cos c and cos b non-negative.  Turning Q or R to its
     antipode negates the cosines it takes part in, so cos a changes sign when
@@ -104,7 +105,8 @@ def _excess(p: Multivector, q: Multivector, r: Multivector, pq: Multivector) -> 
     |PvQvR| <= |PvQ| for a unit R, the collinearity test also refuses
     coincident vertices.
     """
-    cos_c, cos_b, cos_a = (-inner(u, v).scalar_part for u, v in ((p, q), (p, r), (q, r)))
+    cos_c, cos_b, cos_a = ((u[3] * v[3] + u[5] * v[5]) + u[6] * v[6]      # e01, e02, e12
+                           for u, v in ((p._c, q._c), (p._c, r._c), (q._c, r._c)))
     if (cos_c < 0) != (cos_b < 0):
         cos_a = -cos_a
     if cos_a < -epsilon():
@@ -151,8 +153,7 @@ def reflect_bottomup(b: MultivectorLike, a: MultivectorLike) -> Multivector:
 
 def rotation_spinor(r: MultivectorLike, alpha: float):
     """Spinor exp(-alpha/2 * R) rotating around the (normalised) point R."""
-    rn = normalized(as_multivector(r))
-    return exp_bivector(rn * (-0.5 * alpha))
+    return exp_bivector(normalized(r) * (-0.5 * alpha))
 
 
 def rotate(a: MultivectorLike, r: MultivectorLike, alpha: float) -> Multivector:
@@ -172,23 +173,20 @@ class CircleKind(enum.Enum):
 def classify_circle(r: MultivectorLike, p: MultivectorLike) -> CircleKind:
     """Classify the circle through P centred at R by its chart appearance.
 
-    The e12 coefficient along the trajectory is exactly
-    c + a*cos(t) + b*sin(t), read off the closed-form orbit
-    (algebra.orbit); the number of roots in [0, 2*pi) follows from
-    comparing |c| with hypot(a, b): none -> elliptic, one (tangent) ->
-    parabolic, two -> hyperbolic.  A radius of pi/2 is the straight-line
-    case.  P within the tolerance of R (zero radius) counts as elliptic.
+    gap = (pi/2 - d(R, e12)) - d(R, P) is the distance from the circle to the ideal
+    line e0: elliptic when gap > eps (e0 missed), parabolic when |gap| <= eps
+    (tangent), hyperbolic when gap < -eps.  A radius within eps of pi/2 is the
+    straight-line case, one within eps of 0 elliptic.  R, P: El2 points (ValueError).
     """
     eps = epsilon()
-    rn = normalized(as_multivector(r))
-    pn = normalized(as_multivector(p))
-    radius = distance_pp(rn, pn)
-    if abs(radius - math.pi / 2) <= eps:
+    rho = distance_pp(r, p)
+    if as_multivector(r).grades() != (2,) or as_multivector(p).grades() != (2,):
+        raise ValueError("classify_circle needs two el2 points")
+    if abs(rho - math.pi / 2) <= eps:
         return CircleKind.LINE
-    if radius <= eps:
+    if rho <= eps:
         return CircleKind.ELLIPTIC
-    c, a, b = (term.coeff("e12") for term in orbit(rn, pn))
-    amp = math.hypot(a, b)
-    if abs(abs(c) - amp) <= eps:
+    gap = (math.pi / 2 - distance_pp(r, _ORIGIN)) - rho
+    if abs(gap) <= eps:
         return CircleKind.PARABOLIC
-    return CircleKind.ELLIPTIC if abs(c) > amp else CircleKind.HYPERBOLIC
+    return CircleKind.ELLIPTIC if gap > 0.0 else CircleKind.HYPERBOLIC

@@ -17,11 +17,15 @@ from typing import Literal, Tuple, Union
 from . import geometry
 from .algebra import (
     epsilon,
+    _HIGH,
+    _LOW,
     _clifford,
     _exp_halves,
     _from_halves,
     _halves,
     _new,
+    _norm,
+    _scaled,
     _scaled_down,
     _spinor,
     AlgebraError,
@@ -39,7 +43,6 @@ from .algebra import (
     inner,
     inverse_blade,
     is_clifford_bivector,
-    normalized,
     outer,
     regressive,
 )
@@ -62,9 +65,6 @@ class Family(enum.Enum):
 
     POSITIVE = "positive"
     NEGATIVE = "negative"
-
-
-_SIGN = {Family.POSITIVE: 1.0, Family.NEGATIVE: -1.0}     # I*Xi = sign*Xi per family
 
 
 class Side(enum.Enum):
@@ -144,10 +144,10 @@ def _require_line(x: MultivectorLike, what: str = "line") -> Multivector:
 
 def _unit_line(x: MultivectorLike, what: str = "line") -> Tuple[list, list]:
     """The halves C/|L|, D/|L| of the unit line of a checked line L, from the check's
-    one split (geometry._line_halves), with |L| scaled first as in algebra.normalized."""
+    one split (geometry._line_halves), with L scaled first outside algebra._norm."""
     mv, (C, D, _, _) = geometry._line_halves(x, what)
     n = math.hypot(*mv._c)
-    if not 2.0 ** -480 < n < math.inf:
+    if not _LOW < n < _HIGH:
         mv, e = _scaled_down(mv)                # largest coefficient in [0.5, 1)
         n = math.hypot(*mv._c)
         C, D = [math.ldexp(v, -e) for v in C], [math.ldexp(v, -e) for v in D]
@@ -167,15 +167,14 @@ def distance_line_point(line: MultivectorLike, p: MultivectorLike) -> float:
 
     LvP is the plane through the line and the point (zero when P lies on
     the line); L.P is the perpendicular plane through P (zero when P lies
-    on the polar line LI).
+    on the polar line LI).  The line is split once, by its check.
     """
-    return geometry.distance(_require_line(line), p)
+    return geometry._distance(_norm(_require_line(line))[0], _scaled(p)[0])
 
 
 def angle_line_plane(line: MultivectorLike, a: MultivectorLike) -> float:
-    """Unoriented angle in [0, pi/2]: cos = |a.L| (plane), sin = |a^L| (point)."""
-    ln = normalized(_require_line(line))
-    an = normalized(as_multivector(a))
+    """Unoriented angle in [0, pi/2]: cos = |a.L| (plane), sin = |a^L| (point), undivided."""
+    ln, an = _norm(_require_line(line))[0], _scaled(a)[0]
     return math.atan2(coeff_norm(outer(an, ln)), coeff_norm(inner(an, ln)))
 
 
@@ -292,11 +291,11 @@ def clifford_parallel(
 
     The result is a line at constant distance |pi/2 - theta| from the
     input everywhere, oriented consistently with it.  A non-normalised
-    input is normalised first and the parallel rescaled by the original
-    weight.  Parallels of one line can share its frame (CliffordFrame.parallel).
+    input is normalised first (over the hypot of its coefficients, _unit_line) and
+    the parallel rescaled by that weight, which cannot overflow for a finite |L|.
+    Parallels of one line can share its frame (CliffordFrame.parallel).
     """
-    mv = as_multivector(line)                  # clifford_frame checks it
-    return clifford_frame(mv).parallel(family, phi, theta) * coeff_norm(mv)
+    return clifford_frame(line).parallel(family, phi, theta) * math.hypot(*as_multivector(line)._c)
 
 
 class CliffordBivector(Record):
@@ -314,9 +313,7 @@ class CliffordBivector(Record):
     def from_bivector(cls, mv: MultivectorLike) -> "CliffordBivector":
         mv = as_multivector(mv)
         for sign in _families(mv):
-            xi = cls.__new__(cls)          # the family is checked: no second check
-            xi._fill(mv, sign)
-            return xi
+            return cls.__new__(cls)._fill(mv, sign)    # the family is checked
         raise ValueError("bivector is not fixed by the pseudoscalar (not Clifford)")
 
 
@@ -329,19 +326,19 @@ def _families(v: Multivector) -> Tuple[Family, ...]:
 
 
 def clifford_bivector(line: MultivectorLike, sign: Union[Family, str]) -> CliffordBivector:
-    """(I+1)L for the positive family, (I-1)L for the negative one."""
+    """(I+1)L, of halves (2C, 0), for the positive family, (I-1)L = (0, -2D) for the negative."""
     sign = Family(sign)
-    ln = _require_line(line)
-    return CliffordBivector(dual_I(ln) + ln * _SIGN[sign], sign)
+    _, (C, D, _, _) = geometry._line_halves(line, "line")
+    C, D = (([2.0 * x for x in C], (0.0,) * 3) if sign is Family.POSITIVE
+            else ((0.0,) * 3, [-2.0 * x for x in D]))
+    return CliffordBivector.__new__(CliffordBivector)._fill(_from_halves(C, D), sign)
 
 
 CliffordLike = Union[CliffordBivector, MultivectorLike]
 
 
 def _as_clifford(xi: CliffordLike) -> CliffordBivector:
-    if isinstance(xi, CliffordBivector):
-        return xi
-    return CliffordBivector.from_bivector(xi)
+    return xi if isinstance(xi, CliffordBivector) else CliffordBivector.from_bivector(xi)
 
 
 def parallel_through_point(xi: CliffordLike, p: MultivectorLike) -> Multivector:
@@ -350,9 +347,7 @@ def parallel_through_point(xi: CliffordLike, p: MultivectorLike) -> Multivector:
     For P on one of the generating lines the construction collapses onto
     that line (or its polar) rather than failing.
     """
-    xi = _as_clifford(xi)
-    p = as_multivector(p)
-    return geometric_product(regressive(xi.value, p), inverse_blade(p))
+    return geometric_product(regressive(_as_clifford(xi).value, p), inverse_blade(p))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +479,6 @@ def perpendicular_through(line: MultivectorLike, p: MultivectorLike) -> Multivec
     Equals P v (L P L**-1) / 2 for a normalised line.
     """
     ln = _require_line(line)
-    p = as_multivector(p)
     return outer(inner(ln, p), regressive(ln, p))
 
 
@@ -528,9 +522,7 @@ def clifford_translate(a: MultivectorLike, xi: CliffordLike, beta: float) -> Mul
     The spinor is exp(-beta/2 * Xi); every point moves the same elliptic
     distance and stays on the parallel of Xi through it.
     """
-    xi = _as_clifford(xi)
-    s = exp_bivector(xi.value * (-0.5 * beta))
-    return s.apply(as_multivector(a))
+    return exp_bivector(_as_clifford(xi).value * (-0.5 * beta)).apply(a)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +573,11 @@ def clifford_translate_quat(
     translation p -> q p matches the one generated by (I-1)L.
     """
     side = Side(side)
-    ln = _require_line(origin_line, "origin line")
-    off_origin = math.hypot(ln.coeff("e10"), ln.coeff("e20"), ln.coeff("e30"))
-    if off_origin / math.hypot(*ln._c) > epsilon():
+    C, D = _unit_line(origin_line, "origin line")       # direction C - D, moment C + D
+    if math.hypot(*[x - y for x, y in zip(C, D)]) > epsilon():
         raise NonOriginLine("Clifford translation quaternion form needs an origin line")
-    ln = normalized(ln)
     s = math.sin(beta)
-    q = (math.cos(beta), *(-ln.coeff(n) * s for n in ("e23", "e31", "e12")))
+    q = (math.cos(beta), *[-(x + y) * s for x, y in zip(C, D)])
     pq = quaternion_bridge(p)
     result = quaternion_multiply(pq, q) if side is Side.RIGHT else quaternion_multiply(q, pq)
     return point_from_quaternion(result)

@@ -20,6 +20,7 @@ from .algebra import (
     _halves,
     _involute,
     _plucker,
+    _scaled,
     _simple,
     as_multivector,
     coeff_norm,
@@ -28,7 +29,6 @@ from .algebra import (
     geometric_product,
     inner,
     inverse_blade,
-    normalized,
     outer,
     regressive,
     tables,
@@ -100,11 +100,14 @@ def _grade(mv: Multivector) -> int:
 
 
 def distance(a: MultivectorLike, b: MultivectorLike) -> float:
-    """Distance in [0, pi/2]: sin r = |AvB|, cos r = |A.B| on normalised blades.
+    """Distance in [0, pi/2]: sin r = |AvB|, cos r = |A.B| over |A||B|, undivided.
 
     Covers point-point (El1, El2, El3), plane-point, line-point and (El2) line-point.
     """
-    an, bn = normalized(a), normalized(b)
+    return _distance(_scaled(a)[0], _scaled(b)[0])
+
+
+def _distance(an: Multivector, bn: Multivector) -> float:     # nonzero blades in algebra._norm
     return math.atan2(coeff_norm(regressive(an, bn)), coeff_norm(inner(an, bn)))
 
 
@@ -114,7 +117,7 @@ def angle(a: MultivectorLike, b: MultivectorLike) -> float:
     atan2 keeps every digit near 0 and pi, where acos of the cosine loses half.
     Other grades raise ValueError: the wedge of two El2 points, say, is zero.
     """
-    an, bn = normalized(a), normalized(b)
+    an, bn = _scaled(a)[0], _scaled(b)[0]
     if an.grades() != (1,) or bn.grades() != (1,):
         raise ValueError("angle needs two grade-1 elements (el2 lines, el3 planes)")
     return math.atan2(coeff_norm(outer(an, bn)), inner(an, bn).scalar_part)

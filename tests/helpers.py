@@ -1,18 +1,23 @@
 """Shared factories and assertion helpers for the test suite."""
 
+import math
+
 import numpy as np
 
+from elga import el2
 from elga.algebra import (
     Multivector,
     Space,
     as_multivector,
     coeff_norm,
+    epsilon,
     exp_bivector,
     geometric_product,
     grade,
     inner,
     inverse_blade,
     normalized,
+    orbit,
     regressive,
 )
 
@@ -133,3 +138,24 @@ def blade_product_bruteforce(a_indices, b_indices):
 
 def bits_of(index):
     return tuple(i for i in range(8) if index >> i & 1)
+
+
+def classify_circle_by_orbit(r, p):
+    """The orbit rule el2.classify_circle used before its two-distance form.
+
+    The e12 coefficient along the trajectory is c + a cos t + b sin t, read
+    off the closed-form orbit; |c| against hypot(a, b) counts its roots in
+    [0, 2 pi): none elliptic, one (within eps) parabolic, two hyperbolic.
+    """
+    eps = epsilon()
+    rn, pn = normalized(r), normalized(p)
+    radius = el2.distance_pp(rn, pn)
+    if abs(radius - math.pi / 2) <= eps:
+        return el2.CircleKind.LINE
+    if radius <= eps:
+        return el2.CircleKind.ELLIPTIC
+    c, a, b = (term.coeff("e12") for term in orbit(rn, pn))
+    amp = math.hypot(a, b)
+    if abs(abs(c) - amp) <= eps:
+        return el2.CircleKind.PARABOLIC
+    return el2.CircleKind.ELLIPTIC if abs(c) > amp else el2.CircleKind.HYPERBOLIC

@@ -422,6 +422,18 @@ def eval_el3(tmp_path, entities, op, *args):
     return json.loads(result.stdout)["results"][0]["value"]
 
 
+def test_cli_parallel_of_a_line_at_3e160_is_finite(tmp_path):
+    # the weight was the line's sum of squares, inf past about 1e154: exit 2,
+    # "result has a coefficient that is not finite"
+    coeffs = {"e20": 3e160, "e23": 3e160, "e12": 1e160}
+    value = eval_el3(tmp_path, {"L": ("line", coeffs)},
+                     "clifford_parallel", "L", "positive", 0.3, 1.1)
+    want = el3.clifford_parallel(Multivector.from_terms(Space.EL3, coeffs), "positive", 0.3, 1.1)
+    assert from_json_dict(value) == want
+    assert all(math.isfinite(x) for x in value["coeffs"].values())
+    assert max(map(abs, value["coeffs"].values())) > 1e160
+
+
 def test_cli_nearly_opposite_lines_are_generic_not_clifford_parallel(tmp_path):
     # their commutator is small, and an absolute Clifford test on it passed
     lines = {"L": {"e12": 1},

@@ -9,6 +9,7 @@ from elga.algebra import (
     AlgebraError,
     Multivector,
     Space,
+    ZeroInput,
     coeff_norm,
     dual_I,
     geometric_product,
@@ -17,11 +18,13 @@ from elga.algebra import (
     normalized,
     outer,
     regressive,
+    tolerance,
 )
 from elga import el2
 from helpers import (
     assert_mv_close,
     assert_mv_close_up_to_sign,
+    classify_circle_by_orbit,
     rand_line_el2,
     rand_point,
 )
@@ -216,6 +219,30 @@ def test_random_triangles_excess_vs_split(rng):
         count += 1
 
 
+def excess_by_inner(p, q, r):
+    """The excess of el2._excess with each side cosine from a full inner product."""
+    p, q, r = (normalized(v) for v in (p, q, r))
+    cos_c, cos_b, cos_a = (-inner(u, v).scalar_part for u, v in ((p, q), (p, r), (q, r)))
+    if (cos_c < 0) != (cos_b < 0):
+        cos_a = -cos_a
+    triple = abs(regressive(regressive(p, q), r).scalar_part)
+    return 2.0 * math.atan2(triple, 1.0 + cos_a + abs(cos_b) + abs(cos_c))
+
+
+def test_side_cosines_from_the_grade_2_slots_keep_the_excess_bit_for_bit(rng):
+    # negating a sum is exact, so the dot products of the three point slots in
+    # the inner kernel's order are the negated inner products, bit for bit
+    count = 0
+    while count < 500:
+        p, q, r = (rand_point(S, rng) * rng.uniform(0.1, 10.0) for _ in range(3))
+        try:
+            area = el2.triangle_area(p, q, r)
+        except (ValueError, AlgebraError):
+            continue
+        assert area == excess_by_inner(p, q, r)
+        count += 1
+
+
 def test_max_area_construction(rng):
     # line b through the polar point of a; c joins the two polar points
     for _ in range(30):
@@ -367,6 +394,43 @@ def test_classify_circle_random_against_scan(rng):
         crossings = scan_zero_crossings(r, p, samples=2000)
         assert crossings == {el2.CircleKind.ELLIPTIC: 0,
                              el2.CircleKind.HYPERBOLIC: 2}[kind]
+
+
+def test_classify_circle_agrees_with_the_orbit_rule_away_from_its_thresholds(rng):
+    # a pair counts when both rules give the same kind at a tolerance of 1e-6
+    # as at 1e-9, so neither sits near a threshold of the other
+    compared = 0
+    for _ in range(2000):
+        r, p = rand_point(S, rng), rand_point(S, rng) * rng.uniform(0.1, 10.0)
+        kind, ref = el2.classify_circle(r, p), classify_circle_by_orbit(r, p)
+        with tolerance(1e-6):
+            if (el2.classify_circle(r, p), classify_circle_by_orbit(r, p)) != (kind, ref):
+                continue
+        assert kind is ref
+        compared += 1
+    assert compared > 1990
+
+
+@pytest.mark.parametrize("shift, kind", [(-10.0, el2.CircleKind.ELLIPTIC),
+                                         (0.0, el2.CircleKind.PARABOLIC),
+                                         (10.0, el2.CircleKind.HYPERBOLIC)])
+def test_classify_circle_at_and_ten_eps_either_side_of_tangency(shift, kind):
+    # R lies delta from the ideal line e0; P lies on the same line through the
+    # chart origin at delta + shift*eps from R, so the circle misses e0 by
+    # -shift*eps (shift 0: P on e0, the circle tangent to it)
+    delta, s = 0.7, shift * 1e-9
+    r, p = pt(math.sin(delta), math.cos(delta), 0.0), pt(math.sin(-s), math.cos(-s), 0.0)
+    assert abs(el2.distance_pp(r, p) - (delta + s)) < 1e-15
+    assert el2.classify_circle(r, p) is kind
+
+
+def test_classify_circle_refuses_what_is_not_two_points():
+    with pytest.raises(ZeroInput, match="cannot normalise a zero element"):
+        el2.classify_circle(Multivector.zero(S), pt(1, 0.5, 0))
+    with pytest.raises(ValueError, match="needs two el2 points"):
+        el2.classify_circle(ln(0.3, 1, 0), pt(1, 0.5, 0))
+    with pytest.raises(ValueError, match="needs two el2 points"):
+        el2.classify_circle(pt(1, 0.5, 0), ln(0.3, 1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from elga.algebra import (
     plucker_residual,
     regressive,
 )
-from elga import el3
+from elga import algebra, el3, geometry
 from helpers import (
     assert_mv_close,
     assert_mv_close_up_to_sign,
@@ -340,6 +340,16 @@ def test_parallel_rescales_unnormalised_input():
     par = el3.clifford_parallel(REF_LINE, "positive", 0.9, 1.1)
     par_unit = el3.clifford_parallel(normalized(REF_LINE), "positive", 0.9, 1.1)
     assert_mv_close(par, par_unit * weight, 1e-12)
+
+
+def test_parallel_of_a_heavy_line_is_its_weight_times_the_unit_parallel():
+    # the weight is math.hypot of the line's coefficients, exact under a power
+    # of two; their sum of squares overflowed at 2**520 and gave inf and nan
+    for family in ("positive", "negative"):
+        par = el3.clifford_parallel(REF_LINE, family, 0.9, 1.1)
+        heavy = el3.clifford_parallel(REF_LINE * 2.0 ** 520, family, 0.9, 1.1)
+        assert heavy == Multivector(S, [math.ldexp(x, 520) for x in par._c])
+        assert all(math.isfinite(x) for x in heavy._c)
 
 
 def test_parallel_theta_validation_and_plucker():
@@ -935,3 +945,36 @@ def test_spinor_actions_are_isometries_small(rng):
                    - el3.distance_line_point(sl, sp)) < 1e-10
         assert abs(el3.angle_line_plane(lam, a)
                    - el3.angle_line_plane(sl, sa)) < 1e-10
+
+
+@pytest.mark.parametrize("op, args", [
+    (el3.distance_line_point, (REF_LINE, REF_POINT)),
+    (el3.angle_line_plane, (REF_LINE, REF_PLANE)),
+    (el3.clifford_translate_quat, (REF_POINT, ln(0, 0, 0, 0.6, 0.0, 0.8), 0.5, "right")),
+    (el3.clifford_bivector, (REF_LINE, "positive")),
+    (el3.clifford_bivector, (REF_LINE, "negative")),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_line_ops_split_their_line_once(monkeypatch, op, args):
+    # the line check's split into halves is the only one: no second check in
+    # a normalisation, and no CliffordBivector check of a value Clifford by
+    # construction
+    calls = []
+    halves = algebra._halves
+
+    def counted(b):
+        calls.append(b)
+        return halves(b)
+
+    for module in (algebra, geometry, el3):
+        monkeypatch.setattr(module, "_halves", counted)
+    op(*args)
+    assert len(calls) == 1
+
+
+def test_clifford_bivector_is_the_line_plus_or_minus_its_dual_bit_for_bit(rng):
+    # (I+1)L has the halves (2C, 0) and (I-1)L the halves (0, -2D)
+    for _ in range(200):
+        lam = rand_line_el3(rng) * rng.uniform(0.1, 10.0)
+        for family, sign in (("positive", 1.0), ("negative", -1.0)):
+            xi = el3.clifford_bivector(lam, family)
+            assert (xi.sign, xi.value) == (el3.Family(family), dual_I(lam) + lam * sign)

@@ -1,11 +1,13 @@
 """The geometry shared by El1, El2 and El3: one rule per formula."""
 
 import math
+import sys
 
 import pytest
 
 from elga import el1, el2, el3
-from elga.algebra import AlgebraError, Multivector, NonSimpleBivector, Space, coeff_norm
+from elga.algebra import (AlgebraError, Multivector, NonSimpleBivector, Space, ZeroInput,
+                          coeff_norm)
 
 from helpers import (
     assert_mv_close,
@@ -144,3 +146,107 @@ def test_el3_line_arguments_share_the_plucker_check():
         with pytest.raises(NonSimpleBivector) as refused:
             call()
         assert str(refused.value) == f"{what}: plücker residual -5.000e-01 exceeds tolerance 1e-09"
+
+
+# ---------------------------------------------------------------------------
+# ratios on the raw operands
+
+_P1 = Multivector.from_terms(Space.EL1, {"e0": -0.3, "e1": 0.9})
+_Q1 = Multivector.from_terms(Space.EL1, {"e0": 0.8, "e1": 0.45})
+_P2 = Multivector.from_terms(S2, {"e12": 1.0, "e20": 0.3, "e01": -0.7})
+_Q2 = Multivector.from_terms(S2, {"e12": 0.8, "e20": -0.5, "e01": 0.6})
+_A2 = Multivector.from_terms(S2, {"e0": 0.4, "e1": -0.6, "e2": 0.9})
+_B2 = Multivector.from_terms(S2, {"e0": -0.2, "e1": 0.7, "e2": 0.3})
+_P3 = Multivector.from_terms(S3, {"e123": 1.0, "e320": 0.3, "e130": -0.2, "e210": 0.5})
+_Q3 = Multivector.from_terms(S3, {"e123": 0.9, "e320": -0.1, "e130": 0.4, "e210": 0.2})
+_A3 = Multivector.from_terms(S3, {"e0": 0.2, "e1": 0.5, "e2": -0.3, "e3": 0.8})
+_B3 = Multivector.from_terms(S3, {"e0": -0.4, "e1": 0.1, "e2": 0.6, "e3": 0.3})
+_L3 = el3.line_from_points(_P3, Multivector.from_terms(S3, {"e123": 0.5, "e320": 0.7,
+                                                            "e130": 0.1, "e210": -0.3}))
+_CIRCLES = {  # centre and point of an elliptic, a hyperbolic and a straight-line circle
+    "elliptic": (Multivector.from_terms(S2, {"e12": 1.0, "e20": 0.5}),
+                 Multivector.from_terms(S2, {"e12": 1.0, "e20": 3.0})),
+    "hyperbolic": (Multivector.from_terms(S2, {"e12": 1.0, "e01": 2.0}),
+                   Multivector.from_terms(S2, {"e12": 0.25, "e20": 1.0, "e01": -0.5})),
+    "line": (Multivector.from_terms(S2, {"e12": 1.0, "e20": 0.5}),
+             Multivector.from_terms(S2, {"e20": 1.0, "e12": -0.5})),
+}
+JOINT_SCALE_CASES = [
+    ("el1.distance", el1.distance, _P1, _Q1),
+    ("el2.distance_pp", el2.distance_pp, _P2, _Q2),
+    ("el2.distance_lp", el2.distance_lp, _A2, _P2),
+    ("el2.angle_ll", el2.angle_ll, _A2, _B2),
+    ("el3.distance_pp", el3.distance_pp, _P3, _Q3),
+    ("el3.distance_plane_point", el3.distance_plane_point, _A3, _P3),
+    ("el3.distance_line_point", el3.distance_line_point, _L3, _Q3),
+    ("el3.angle_planes", el3.angle_planes, _A3, _B3),
+    ("el3.angle_line_plane", el3.angle_line_plane, _L3, _A3),
+] + [(f"el2.classify_circle {name}", el2.classify_circle, r, p)
+     for name, (r, p) in _CIRCLES.items()]
+
+
+def _times_two_to(mv, k):
+    return Multivector(mv.space, [math.ldexp(x, k) for x in mv._c])
+
+
+def _all_normal(mv):
+    return all(x == 0.0 or sys.float_info.min <= abs(x) <= sys.float_info.max for x in mv._c)
+
+
+@pytest.mark.parametrize("op, a, b", [case[1:] for case in JOINT_SCALE_CASES],
+                         ids=[case[0] for case in JOINT_SCALE_CASES])
+def test_ratio_ops_give_the_same_bits_with_both_operands_scaled(op, a, b):
+    # every ratio is taken on its operands as given, or scaled into one band
+    # by a power of two, so 2**k on both gives the answer at scale 1 bit for
+    # bit; with the band at 2**+-480 the squares of the products underflowed
+    # for every k <= -240 (one operand scaled at a time missed it)
+    want, scales = op(a, b), 0
+    for k in range(-1000, 1001):
+        ak, bk = _times_two_to(a, k), _times_two_to(b, k)
+        if _all_normal(ak) and _all_normal(bk):
+            assert op(ak, bk) == want, k
+            scales += 1
+    assert scales > 1900
+
+
+def test_the_circles_of_the_joint_scale_test_have_their_kinds():
+    assert [el2.classify_circle(r, p).value for r, p in _CIRCLES.values()] == list(_CIRCLES)
+
+
+_ZERO2, _ZERO3 = Multivector.zero(S2), Multivector.zero(S3)
+_SKEW = Multivector.from_terms(S3, {"e10": 1.0, "e23": 0.5})     # neither a line nor Clifford
+_ZERO = (ZeroInput, "cannot normalise a zero element")
+_NORM_UNDEFINED = (NonSimpleBivector, "norm undefined: plucker residual -4.000e-01")
+_LINE_SKEW = (NonSimpleBivector, "line: plücker residual -4.000e-01 exceeds tolerance 1e-09")
+_NO_LINE = (AlgebraError, "element is not of pure grade (grades ())")
+REFUSALS = [
+    (el1.distance, (Multivector.zero(Space.EL1), _P1), _ZERO),
+    (el1.distance, (_P1, Multivector.zero(Space.EL1)), _ZERO),
+    (el2.distance_pp, (_ZERO2, _P2), _ZERO),
+    (el2.distance_pp, (_P2, _ZERO2), _ZERO),
+    (el2.distance_lp, (_ZERO2, _P2), _ZERO),
+    (el2.angle_ll, (_A2, _ZERO2), _ZERO),
+    (el2.classify_circle, (_ZERO2, _P2), _ZERO),
+    (el2.classify_circle, (_P2, _ZERO2), _ZERO),
+    (el3.distance_pp, (_ZERO3, _P3), _ZERO),
+    (el3.distance_pp, (_SKEW, _P3), _NORM_UNDEFINED),
+    (el3.distance_plane_point, (_A3, _ZERO3), _ZERO),
+    (el3.angle_planes, (_ZERO3, _A3), _ZERO),
+    (el3.angle_planes, (_SKEW, _A3), _NORM_UNDEFINED),
+    (el3.distance_line_point, (_ZERO3, _P3), _NO_LINE),
+    (el3.distance_line_point, (_L3, _ZERO3), _ZERO),
+    (el3.distance_line_point, (_SKEW, _P3), _LINE_SKEW),
+    (el3.angle_line_plane, (_ZERO3, _A3), _NO_LINE),
+    (el3.angle_line_plane, (_L3, _ZERO3), _ZERO),
+    (el3.angle_line_plane, (_SKEW, _A3), _LINE_SKEW),
+]
+
+
+@pytest.mark.parametrize("op, args, refusal", REFUSALS,
+                         ids=[f"{op.__module__[5:]}.{op.__name__}-{i}"
+                              for i, (op, _, _) in enumerate(REFUSALS)])
+def test_ratio_ops_refuse_a_zero_or_skew_operand_as_when_they_normalised(op, args, refusal):
+    # the exception type and message of the normalising formulas, unchanged
+    with pytest.raises(AlgebraError) as refused:
+        op(*args)
+    assert (type(refused.value), str(refused.value)) == refusal
