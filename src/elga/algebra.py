@@ -621,17 +621,9 @@ def grade(a: MultivectorLike, k: int) -> Multivector:
     return _new(a._space, pick(a._c + (0.0,)), a._mask & (1 << k))
 
 
-def _sum_squares(c: Iterable[float]) -> float:
-    """Sum of squares in slot order from +0.0: <a ~a>_0 of the product, bit for bit."""
-    s = 0.0
-    for x in c:
-        s += x * x
-    return s
-
-
 def coeff_norm(a: MultivectorLike) -> float:
-    """Euclidean norm of the coefficients: sqrt(<a ~a>_0), as norm without its El3 check."""
-    return math.sqrt(_sum_squares(as_multivector(a)._c))
+    """sqrt(<a ~a>_0) by math.hypot, which squares nothing: norm without its El3 check."""
+    return math.hypot(*as_multivector(a)._c)
 
 
 def plucker_residual(a: MultivectorLike) -> float:
@@ -711,27 +703,31 @@ def _norm(a: Multivector) -> Tuple[Multivector, float, int]:
     return a, n, e
 
 
-def _scaled(a: MultivectorLike) -> Tuple[Multivector, float, int]:
-    """_norm of an a that has a norm (simple or Clifford in El3): normalized's first step."""
+def _normable(a: MultivectorLike) -> Multivector:
+    """a, which must have a norm: a grade-2 El3 a must be simple or Clifford."""
     a = as_multivector(a)
     if a._space is Space.EL3 and a.grades() == (2,):
         _, _, c, d = _halves(a)
         if not (_simple(c, d) or _clifford(c, d)):
             raise NonSimpleBivector(f"norm undefined: plucker residual {_plucker(c, d):.3e}")
-    return _norm(a)
+    return a
+
+
+def _scaled(a: MultivectorLike) -> Tuple[Multivector, float, int]:
+    """_norm of an a that has a norm (_normable): normalized's first step."""
+    return _norm(_normable(a))
 
 
 def norm(a: MultivectorLike) -> float:
-    """Blade/versor norm sqrt(<a ~a>_0).
+    """Blade/versor norm sqrt(<a ~a>_0): coeff_norm, the hypot of the coefficients.
 
     Equals the Euclidean coefficient norm on blades.  A grade-2 element of
     El3 must satisfy the Plucker condition or be a Clifford bivector;
     otherwise the notion of a line norm does not apply and
-    NonSimpleBivector is raised.  Outside the band of _norm, the norm of
-    a * 2**-e (_scaled_down) is scaled back by 2**e, exactly.
+    NonSimpleBivector is raised.  No square is formed, so nothing is
+    rescaled: norm(a * 2**k) is 2**k * norm(a) while both are normal floats.
     """
-    _, n, e = _scaled(a) if any(as_multivector(a)._c) else (a, 0.0, 0)
-    return n * math.ldexp(1.0, e - 1) * 2.0 if e else n     # inf, not OverflowError
+    return coeff_norm(_normable(a))
 
 
 def normalized(a: MultivectorLike) -> Multivector:
@@ -748,16 +744,16 @@ def inverse_blade(a: MultivectorLike) -> Multivector:
     """Inverse of a blade or versor: ~a / <a ~a>_0.
 
     Raises NonInvertible when a * ~a is not a nonzero scalar (for example
-    1 + I in El3, a zero divisor).  When that sum of squares is not a
-    normal float, a is first scaled by a power of two (_scaled_down) and
-    the inverse scaled back, both exactly.
+    1 + I in El3, a zero divisor).  When that sum of squares s leaves
+    (_LOW**2, _HIGH**2), the square of _norm's band, a is first scaled by a
+    power of two (_scaled_down) and the inverse scaled back, both exactly.
     """
     a = as_multivector(a)
     eps = epsilon()
     rev = reverse(a)
     m = shown = geometric_product(a, rev)
-    s, e = m.scalar_part, 0                  # the sum of squares, as in _sum_squares
-    if not sys.float_info.min <= s < math.inf and any(a._c):
+    s, e = m.scalar_part, 0                  # the sum of squares
+    if not _LOW * _LOW < s < _HIGH * _HIGH and any(a._c):
         a, e = _scaled_down(a)
         rev = reverse(a)
         m = geometric_product(a, rev)
@@ -804,7 +800,7 @@ class Spinor:
         if any(abs(x) > self._UNIT_TOL for x, k in zip(mv._c, grades) if k % 2):
             raise AlgebraError("spinor must be even-graded")
         unit = geometric_product(mv, reverse(mv))._c
-        if math.sqrt(_sum_squares((unit[0] - 1.0,) + unit[1:])) > self._UNIT_TOL:
+        if math.hypot(unit[0] - 1.0, *unit[1:]) > self._UNIT_TOL:
             raise AlgebraError("spinor must satisfy S ~S = 1")
         object.__setattr__(self, "mv", mv)
 
@@ -912,7 +908,7 @@ def exp_bivector(b: MultivectorLike) -> Spinor:
         raise AlgebraError(f"exp_bivector needs a grade-2 argument, got grades {g}")
     if b.space is Space.EL3:
         return _spinor(_exp_halves(*_halves(b)))
-    theta = _angle(math.hypot(*b._c), "|b|")
+    theta = _angle(coeff_norm(b), "|b|")
     return _spinor(Multivector.scalar(b.space, math.cos(theta)) + b * _sinc(theta))
 
 

@@ -83,8 +83,8 @@ def perpendicular_through(a: MultivectorLike, p: MultivectorLike) -> Multivector
     """
     a, p = as_multivector(a), as_multivector(p)
     result = inner(a, p)
-    r = math.hypot(*result._c)
-    if not r or r / math.hypot(*a._c) / math.hypot(*p._c) <= epsilon():
+    r = coeff_norm(result)
+    if not r or r / coeff_norm(a) / coeff_norm(p) <= epsilon():
         raise DegeneratePolar("point lies at the polar point of the line")
     return result
 

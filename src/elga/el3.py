@@ -17,8 +17,6 @@ from typing import Literal, Tuple, Union
 from . import geometry
 from .algebra import (
     epsilon,
-    _HIGH,
-    _LOW,
     _clifford,
     _exp_halves,
     _from_halves,
@@ -42,7 +40,6 @@ from .algebra import (
     geometric_product,
     inner,
     inverse_blade,
-    is_clifford_bivector,
     outer,
     regressive,
 )
@@ -144,12 +141,10 @@ def _require_line(x: MultivectorLike, what: str = "line") -> Multivector:
 
 def _unit_line(x: MultivectorLike, what: str = "line") -> Tuple[list, list]:
     """The halves C/|L|, D/|L| of the unit line of a checked line L, from the check's
-    one split (geometry._line_halves), with L scaled first outside algebra._norm."""
+    one split (geometry._line_halves), scaled by algebra._norm's power of two first."""
     mv, (C, D, _, _) = geometry._line_halves(x, what)
-    n = math.hypot(*mv._c)
-    if not _LOW < n < _HIGH:
-        mv, e = _scaled_down(mv)                # largest coefficient in [0.5, 1)
-        n = math.hypot(*mv._c)
+    _, n, e = _norm(mv)
+    if e:
         C, D = [math.ldexp(v, -e) for v in C], [math.ldexp(v, -e) for v in D]
     return [v / n for v in C], [v / n for v in D]
 
@@ -253,10 +248,6 @@ def _cross(u: _Vec3, v: _Vec3) -> _Vec3:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _length(v: _Vec3) -> float:
-    return math.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
-
-
 def _origin_line(direction: _Vec3) -> Multivector:
     return Multivector.from_terms(_S, dict(zip(("e23", "e31", "e12"), direction)))
 
@@ -267,12 +258,12 @@ def _direction(origin_line: Multivector) -> _Vec3:
 
 
 def _perp_origin_line(direction: _Vec3) -> Multivector:
-    n = _length(direction)
+    n = math.hypot(*direction)
     d = (direction[0] / n, direction[1] / n, direction[2] / n)
     u = _cross(d, (1.0, 0.0, 0.0))
-    if _length(u) <= 1e-9:
+    if math.hypot(*u) <= 1e-9:
         u = _cross(d, (0.0, 1.0, 0.0))
-    n = _length(u)
+    n = math.hypot(*u)
     return _origin_line((u[0] / n, u[1] / n, u[2] / n))
 
 
@@ -291,11 +282,11 @@ def clifford_parallel(
 
     The result is a line at constant distance |pi/2 - theta| from the
     input everywhere, oriented consistently with it.  A non-normalised
-    input is normalised first (over the hypot of its coefficients, _unit_line) and
-    the parallel rescaled by that weight, which cannot overflow for a finite |L|.
+    input is normalised first (over coeff_norm, _unit_line) and the parallel
+    rescaled by that weight, which cannot overflow for a finite |L|.
     Parallels of one line can share its frame (CliffordFrame.parallel).
     """
-    return clifford_frame(line).parallel(family, phi, theta) * math.hypot(*as_multivector(line)._c)
+    return clifford_frame(line).parallel(family, phi, theta) * coeff_norm(line)
 
 
 class CliffordBivector(Record):
@@ -318,11 +309,11 @@ class CliffordBivector(Record):
 
 
 def _families(v: Multivector) -> Tuple[Family, ...]:
-    """The families with I*v = sign*v (is_clifford_bivector); both for zero."""
-    if not is_clifford_bivector(v):
+    """The families with I*v = sign*v (is_clifford_bivector, on one split); both for zero."""
+    if v._space is not _S or v.grades() not in ((), (2,)):
         return ()
     _, _, c, d = _halves(v)
-    return (Family.POSITIVE,) * (d <= c) + (Family.NEGATIVE,) * (c <= d)
+    return (Family.POSITIVE,) * (d <= c) + (Family.NEGATIVE,) * (c <= d) if _clifford(c, d) else ()
 
 
 def clifford_bivector(line: MultivectorLike, sign: Union[Family, str]) -> CliffordBivector:
@@ -438,7 +429,7 @@ def _line_line_args(phi: MultivectorLike, line: MultivectorLike, kind: int):
     (pn, (C, D, _, _)), (ln, (C2, D2, _, _)) = (geometry._line_halves(phi, "phi"),
                                                 geometry._line_halves(line, "line"))
     comm = _from_halves([-2.0 * x for x in _cross(C, C2)], [-2.0 * x for x in _cross(D, D2)])
-    if math.hypot(*comm._c) / math.hypot(*pn._c) / math.hypot(*ln._c) <= epsilon():
+    if coeff_norm(comm) / coeff_norm(pn) / coeff_norm(ln) <= epsilon():
         zero = Multivector.zero(_S)
         return pn, ln, zero, zero
     b1, b2, degenerate = axis_split(comm)

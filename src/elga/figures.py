@@ -36,7 +36,7 @@ from itertools import chain
 from typing import Sequence, Tuple
 
 from . import el3
-from .algebra import Multivector, Record, Space, dual_I, normalized, orbit, tables
+from .algebra import Multivector, Record, Space, coeff_norm, dual_I, normalized, orbit, tables
 from .scene import FIGURE_KINDS, Scene, SceneError, _number
 
 CHART_CUTOFF = 1e-6
@@ -171,7 +171,7 @@ def _figure_parallels(scene: Scene, samples: int) -> FigureData:
                      csv_header=("family", "index", "phi", "t", "e123", "e320", "e130", "e210"))
     unit = normalized(line)
     _sample_line(fig, "line", unit, table, ("line", -1, math.nan))
-    frame, weight = el3.clifford_frame(unit), math.hypot(*unit._c)
+    frame, weight = el3.clifford_frame(unit), coeff_norm(unit)
     for fam in families:
         for i in range(count):
             phi = 2.0 * math.pi * i / count

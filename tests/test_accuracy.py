@@ -32,6 +32,7 @@ from elga.algebra import (
     geometric_product,
     inner,
     inverse_blade,
+    norm,
     normalized,
     outer,
     regressive,
@@ -475,6 +476,47 @@ def test_distances_and_angles_match_their_256_bit_references(op):
         if want >= 1e-2:
             worst_rel = max(worst_rel, abs(got - want) / want)
     assert worst_abs <= 1e-15 and worst_rel <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the coefficient norm
+#
+# The floats within 1 ulp of a norm at 2**k are those within 1 ulp of it at
+# scale 1, times 2**k, while every coefficient and the norm are normal.
+
+
+def _within_one_ulp(x):
+    """The floats within 1 ulp of the real x (an mpf), by the ulp of the nearest."""
+    r = float(x)
+    near = (math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf))
+    return {y for y in near if abs(mpmath.mpf(y) - x) <= math.ulp(r)}
+
+
+def _norm_cases(rnd):
+    """Gaussian El1, El2 and El3 elements, and El3 lines (joins of Gaussian points)."""
+    for space in Space:
+        for _ in range(8):
+            yield Multivector(space, _gauss(rnd, space.size))
+    for _ in range(8):
+        yield regressive(*[_mv(Space.EL3, _POINT[Space.EL3], _gauss(rnd, 4)) for _ in range(2)])
+
+
+def test_coeff_norm_and_norm_are_within_one_ulp_at_every_power_of_two_scale():
+    # the root of a sum of squares in slot order is off by nearly 2 ulp, and loses
+    # every digit once the squares leave the floats
+    rnd = random.Random("coeff_norm")
+    for a in _norm_cases(rnd):
+        with mpmath.workprec(PREC):
+            want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in a._c))
+            allowed = _within_one_ulp(want)
+        for k in range(-1000, 1001):
+            c = [math.ldexp(x, k) for x in a._c]
+            if math.ldexp(float(want), k) < sys.float_info.min or any(
+                    x and abs(x) < sys.float_info.min for x in c):
+                continue
+            scaled = Multivector(a.space, c)
+            for op in (coeff_norm, norm):
+                assert math.ldexp(op(scaled), -k) in allowed, (op.__name__, a, k)
 
 
 # ---------------------------------------------------------------------------

@@ -706,7 +706,7 @@ FIGURE_DIGESTS = {
         ("42cb317a9d62a1f67747af13b1c0dea3560720eb5980df93abeec8f2c0e49347",
          "8c0680c16583688f95a7a6047faf57cc4647092cb64da29c5b9acd6fe093e48b"),
     ("paper_el3", "clifford-parallels"):
-        ("478892d0b7e66e3977f2bd9f6b1b1ff02088247544b864a8e4b4bd159e45cdc2",
+        ("798458575a8cd4c2be1665e5f3fc1f27642280c34301651302c769fd63734d62",
          "b410dfb1e36b2f3fc3d88420dbde676a4fb0b0b7f94e72b61d017e4d6698c32c"),
     ("paper_el3", "rotation-flow"):
         ("4b15f4cbf3b021dad5170c7edfc07902e8862cdd103c86577b1eaf3b54e09d81",

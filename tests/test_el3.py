@@ -958,6 +958,25 @@ def test_line_ops_split_their_line_once(monkeypatch, op, args):
     # the line check's split into halves is the only one: no second check in
     # a normalisation, and no CliffordBivector check of a value Clifford by
     # construction
+    calls = _count_halves(monkeypatch)
+    op(*args)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: el3.CliffordBivector(value, el3.Family.POSITIVE),
+    el3.CliffordBivector.from_bivector,
+], ids=["constructor", "from_bivector"])
+def test_clifford_bivector_checks_split_their_value_once(monkeypatch, build):
+    # the Clifford test and the family read one split of the value
+    value = dual_I(REF_LINE) + REF_LINE             # (I+1)L, of the positive family
+    calls = _count_halves(monkeypatch)
+    assert build(value).sign is el3.Family.POSITIVE
+    assert len(calls) == 1
+
+
+def _count_halves(monkeypatch):
+    """The list that every later call of algebra._halves appends its argument to."""
     calls = []
     halves = algebra._halves
 
@@ -967,8 +986,7 @@ def test_line_ops_split_their_line_once(monkeypatch, op, args):
 
     for module in (algebra, geometry, el3):
         monkeypatch.setattr(module, "_halves", counted)
-    op(*args)
-    assert len(calls) == 1
+    return calls
 
 
 def test_clifford_bivector_is_the_line_plus_or_minus_its_dual_bit_for_bit(rng):
